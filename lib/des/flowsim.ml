@@ -56,6 +56,14 @@ let default_config =
     overload_factor = 1.25;
   }
 
+(* A pooled recovery outcome: [Route] holds the links from the
+   initiator to the destination, in order, and their total cost;
+   [Pending] marks a pool cell not filled yet. *)
+type outcome =
+  | Pending
+  | Dropped
+  | Route of { links : Graph.link_id array; cost : int }
+
 (* One ground-truth era, with its regime boundaries precomputed.  The
    flow engine's time model is piecewise constant per era:
 
@@ -71,54 +79,114 @@ let default_config =
 
    Unlike the per-packet engine, detection and convergence are global
    boundaries per era (the packet engine keeps them per link and per
-   router); the differential oracle bounds the gap. *)
+   router); the differential oracle bounds the gap.  The three windows
+   are quantized to milliseconds once, here, so every flow multiplies
+   by the same integers. *)
 type era = {
-  e_start : float;
-  e_end : float;
-  e_det : float;
-  e_conv : float;
+  hold_ms : int;  (* [e_start, e_det) *)
+  rec_ms : int;  (* [e_det, e_conv) *)
+  conv_ms : int;  (* [e_conv, e_end) *)
   e_damage : Damage.t;
   e_post : Route_table.t;
+  breaks : int array;
+      (* [breaks.(hop_slot u v l)]: the id of the unusable hop from live
+         router [u] to neighbour [v] over link [l], or -1 when the hop
+         is usable — the pre-failure walk's break test, without
+         touching the damage *)
+  outcomes : outcome Atomic.t array;
+      (* the recovery pool of this era: [(break * n_nodes) + dst] *)
 }
 
+(* Pass 1, the recovery pool: every pooled scheme's outcome is a pure
+   function of (era, initiator, trigger, dst), and the break id names
+   the (initiator, trigger) pair, so one cell per (era, break, dst)
+   serves every flow of every slice on every domain.  A cell is filled
+   once, under [lock], by whichever domain reaches it first; its phase-2
+   work is counted on that domain and absorbed at the join like any
+   other metric, so counter totals do not depend on chunking or jobs.
+   RTR sessions are keyed the same way and only touched under [lock]. *)
 type context = {
   topo : Rtr_topo.Topology.t;
   g : Graph.t;
   config : config;
   pre : Route_table.t;
+  pre_ms : int;  (* the pre-failure window, [0, t_fail) *)
+  no_breaks : int array;  (* a break table with every hop usable *)
   eras : era array;
   mrc : Mrc.t option;
   rr : Randroute.t option;
+  lock : Mutex.t;
+  sessions : (int, Rtr.t) Hashtbl.t;
 }
+
+(* Millisecond quantization of a window. *)
+let ms_between t0 t1 =
+  if t1 <= t0 then 0 else int_of_float (Float.round ((t1 -. t0) *. 1000.0))
+
+(* Each link has one break slot per direction; [u <> v] always. *)
+let hop_slot u v l = (2 * l) + if u < v then 0 else 1
+
+(* Numbers the unusable hops out of live routers: the link failed or
+   the neighbour did, which is all a live router can see. *)
+let break_table g damage =
+  let breaks = Array.make (2 * Graph.n_links g) (-1) in
+  let n_breaks = ref 0 in
+  let mark u v l =
+    if Damage.node_ok damage u && Damage.neighbor_unreachable damage v l then begin
+      breaks.(hop_slot u v l) <- !n_breaks;
+      incr n_breaks
+    end
+  in
+  Graph.iter_links g (fun l u v ->
+      mark u v l;
+      mark v u l);
+  (breaks, !n_breaks)
+
+let pooled = function
+  | Rtr_scheme | Fcp_scheme | Mrc_scheme -> true
+  | No_recovery | Randroute_scheme -> false
 
 let context topo damage ?mrc config =
   let g = Rtr_topo.Topology.graph topo in
+  let n = Graph.n_nodes g in
   let timeline =
     (config.t_fail, damage)
     :: List.stable_sort
          (fun (a, _) (b, _) -> Float.compare a b)
          config.episodes
   in
+  let era (e_start, e_damage) rest =
+    let e_end =
+      match rest with
+      | (next, _) :: _ -> Float.min next config.t_end
+      | [] -> config.t_end
+    in
+    let conv = Convergence.compute config.igp g e_damage in
+    let e_det =
+      Float.min (e_start +. config.igp.Rtr_igp.Igp_config.detection_s) e_end
+    in
+    let e_conv =
+      Float.max
+        (Float.min (e_start +. Convergence.finished_at conv) e_end)
+        e_det
+    in
+    let breaks, n_breaks = break_table g e_damage in
+    {
+      hold_ms = ms_between e_start e_det;
+      rec_ms = ms_between e_det e_conv;
+      conv_ms = ms_between e_conv e_end;
+      e_damage;
+      e_post = Route_table.compute (Damage.view e_damage);
+      breaks;
+      outcomes =
+        (if pooled config.scheme then
+           Array.init (n_breaks * n) (fun _ -> Atomic.make Pending)
+         else [||]);
+    }
+  in
   let rec build = function
     | [] -> []
-    | (e_start, e_damage) :: rest ->
-        let e_end =
-          match rest with
-          | (next, _) :: _ -> Float.min next config.t_end
-          | [] -> config.t_end
-        in
-        let conv = Convergence.compute config.igp g e_damage in
-        let e_det = e_start +. config.igp.Rtr_igp.Igp_config.detection_s in
-        let e_conv = e_start +. Convergence.finished_at conv in
-        {
-          e_start;
-          e_end;
-          e_det = Float.min e_det e_end;
-          e_conv = Float.max (Float.min e_conv e_end) (Float.min e_det e_end);
-          e_damage;
-          e_post = Route_table.compute (Damage.view e_damage);
-        }
-        :: build rest
+    | step :: rest -> era step rest :: build rest
   in
   let mrc =
     match (config.scheme, mrc) with
@@ -130,7 +198,19 @@ let context topo damage ?mrc config =
     | Randroute_scheme -> Some (Randroute.create ~seed:config.seed g)
     | _ -> None
   in
-  { topo; g; config; pre = Route_table.compute (View.full g); eras = Array.of_list (build timeline); mrc; rr }
+  {
+    topo;
+    g;
+    config;
+    pre = Route_table.compute (View.full g);
+    pre_ms = ms_between 0.0 (Float.min config.t_fail config.t_end);
+    no_breaks = Array.make (2 * Graph.n_links g) (-1);
+    eras = Array.of_list (build timeline);
+    mrc;
+    rr;
+    lock = Mutex.create ();
+    sessions = Hashtbl.create 64;
+  }
 
 (* --- integer accumulators ------------------------------------------- *)
 
@@ -193,256 +273,256 @@ let merge a b =
   add a.post_loads b.post_loads;
   a
 
-(* Millisecond quantization of a window.  Boundaries are computed the
-   same way for every flow regardless of sharding, so the products
-   below stay shard-invariant. *)
-let ms_between t0 t1 =
-  if t1 <= t0 then 0 else int_of_float (Float.round ((t1 -. t0) *. 1000.0))
+(* --- pass 1: filling the recovery pool --------------------------------- *)
 
-(* --- per-era default-path classification ---------------------------- *)
+(* A node walk starting at [initiator] as links and cost.  The walk's
+   own head is skipped: the route continues from wherever the flow
+   broke, which is the initiator. *)
+let route_of_nodes g ~initiator nodes =
+  match nodes with
+  | [] -> Dropped
+  | _ :: tail ->
+      let links = Array.make (List.length tail) 0 in
+      let rec fill i u cost = function
+        | [] -> cost
+        | v :: rest -> (
+            match Graph.find_link g u v with
+            | Some l ->
+                links.(i) <- l;
+                fill (i + 1) v (cost + Graph.cost g l ~src:u) rest
+            | None -> assert false)
+      in
+      let cost = fill 0 initiator 0 tail in
+      Route { links; cost }
 
-type classified =
-  | Intact of Graph.link_id list
-  | Broken of {
-      at : Graph.node;  (* last live router before the break *)
-      trigger : Graph.node;
-      prefix_rev : Graph.node list;  (* src .. at, reversed *)
-    }
-  | No_pre_route
-
-let classify ctx damage ~src ~dst =
-  let rec go at links_rev prefix_rev =
-    if at = dst then Intact (List.rev links_rev)
-    else
-      match
-        ( Route_table.next_hop ctx.pre ~src:at ~dst,
-          Route_table.next_link ctx.pre ~src:at ~dst )
-      with
-      | Some v, Some l ->
-          if Damage.neighbor_unreachable damage v l then
-            Broken { at; trigger = v; prefix_rev }
-          else go v (l :: links_rev) (v :: prefix_rev)
-      | _ -> No_pre_route
-  in
-  go src [] [ src ]
-
-(* --- recovery schemes ------------------------------------------------ *)
-
-(* Route cost and link charging both walk consecutive node pairs. *)
-let links_of_nodes g nodes =
-  let rec go acc = function
-    | a :: (b :: _ as rest) -> (
-        match Graph.find_link g a b with
-        | Some l -> go (l :: acc) rest
-        | None -> assert false)
-    | _ -> List.rev acc
-  in
-  go [] nodes
-
-let cost_of_nodes g nodes =
-  let rec go acc = function
-    | a :: (b :: _ as rest) -> (
-        match Graph.find_link g a b with
-        | Some l -> go (acc + Graph.cost g l ~src:a) rest
-        | None -> assert false)
-    | _ -> acc
-  in
-  go 0 nodes
-
-(* Per-slice mutable state: RTR sessions and recovery outcomes, keyed
-   by era so a stale session is never consulted across a transition.
-   Slices rebuild their own caches — recovery outcomes are pure
-   functions of (era, initiator, trigger, dst), so this only costs
-   repeated work, never divergent results. *)
-type slice_caches = {
-  sessions : (int * Graph.node * Graph.node, Rtr.t) Hashtbl.t;
-  outcomes : (int * Graph.node * Graph.node * Graph.node, Graph.node list option) Hashtbl.t;
-}
-
-let rtr_session ctx caches era_idx era ~initiator ~trigger =
-  let key = (era_idx, initiator, trigger) in
-  match Hashtbl.find_opt caches.sessions key with
+(* Callers hold [ctx.lock]. *)
+let rtr_session ctx era_idx era ~initiator ~trigger =
+  let n = Graph.n_nodes ctx.g in
+  let key = (((era_idx * n) + initiator) * n) + trigger in
+  match Hashtbl.find_opt ctx.sessions key with
   | Some s -> s
   | None ->
       let s = Rtr.start ctx.topo era.e_damage ~initiator ~trigger () in
-      Hashtbl.replace caches.sessions key s;
+      Hashtbl.replace ctx.sessions key s;
       s
 
 (* RTR with Sec. III-E chaining, as the packet engine plays it: when a
    source route hits a failure phase 1 missed, the router at the break
-   starts its own recovery session for the remaining journey. *)
-let rtr_recover ctx caches era_idx era ~initiator ~trigger ~dst =
+   starts its own recovery session for the remaining journey.  The
+   walked prefix is pushed onto the carried nodes one node at a time,
+   so a long chain costs no non-tail append. *)
+let rtr_recover ctx era_idx era ~initiator ~trigger ~dst =
   let rec go u trigger depth carried_rev =
     if depth > 8 then None
     else
-      let s = rtr_session ctx caches era_idx era ~initiator:u ~trigger in
+      let s = rtr_session ctx era_idx era ~initiator:u ~trigger in
       match Rtr.recover s ~dst with
-      | Rtr.Recovered p ->
-          Some (List.rev_append carried_rev (Path.nodes p))
+      | Rtr.Recovered p -> Some (List.rev_append carried_rev (Path.nodes p))
       | Rtr.Unreachable_in_view -> None
-      | Rtr.False_path { path; dropped_at; _ } -> (
-          (* nodes walked before the break: initiator .. dropped_at *)
-          let rec split acc = function
-            | x :: (y :: _ as _rest) when x = dropped_at ->
-                Some (acc, y) (* acc excludes dropped_at; y = dead hop *)
-            | x :: rest -> split (x :: acc) rest
+      | Rtr.False_path { path; dropped_at; _ } ->
+          (* carry initiator .. the hop before [dropped_at]; the next
+             session starts at [dropped_at], triggered by its dead hop *)
+          let rec split carried = function
+            | x :: y :: _ when x = dropped_at ->
+                go dropped_at y (depth + 1) carried
+            | x :: rest -> split (x :: carried) rest
             | [] -> None
           in
-          match split [] (Path.nodes path) with
-          | Some (walked_rev, next_trigger) ->
-              go dropped_at next_trigger (depth + 1)
-                (walked_rev @ carried_rev)
-          | None -> None)
+          split carried_rev (Path.nodes path)
   in
   go initiator trigger 0 []
 
-let recover ctx caches ~flow_idx era_idx era ~initiator ~trigger ~dst =
-  match ctx.config.scheme with
-  | No_recovery -> None
-  | Randroute_scheme -> (
-      (* per-flow randomization: not cacheable by (initiator, dst),
-         but three table lookups and a walk are cheap *)
-      match ctx.rr with
-      | None -> None
-      | Some rr -> (
-          match Randroute.reroute rr era.e_post ~flow:flow_idx ~initiator ~dst with
-          | Randroute.Rerouted { nodes; _ } -> Some nodes
-          | Randroute.No_route -> None))
-  | Rtr_scheme | Fcp_scheme | Mrc_scheme -> (
-      let key = (era_idx, initiator, trigger, dst) in
-      match Hashtbl.find_opt caches.outcomes key with
-      | Some r -> r
-      | None ->
-          let r =
-            match ctx.config.scheme with
-            | Rtr_scheme ->
-                rtr_recover ctx caches era_idx era ~initiator ~trigger ~dst
-            | Fcp_scheme ->
-                let res = Fcp.run ctx.topo era.e_damage ~initiator ~dst in
-                if res.Fcp.delivered then Some (Path.nodes res.Fcp.journey)
-                else None
-            | Mrc_scheme -> (
-                match ctx.mrc with
-                | None -> None
-                | Some mrc -> (
-                    match Mrc.recover mrc era.e_damage ~initiator ~trigger ~dst with
-                    | Mrc.Delivered p -> Some (Path.nodes p)
-                    | Mrc.Dropped _ -> None))
-            | No_recovery | Randroute_scheme -> None
-          in
-          Hashtbl.replace caches.outcomes key r;
-          r)
+(* Callers hold [ctx.lock]. *)
+let compute_outcome ctx era_idx era ~initiator ~trigger ~dst =
+  let nodes =
+    match ctx.config.scheme with
+    | Rtr_scheme -> rtr_recover ctx era_idx era ~initiator ~trigger ~dst
+    | Fcp_scheme ->
+        let res = Fcp.run ctx.topo era.e_damage ~initiator ~dst in
+        if res.Fcp.delivered then Some (Path.nodes res.Fcp.journey) else None
+    | Mrc_scheme -> (
+        match ctx.mrc with
+        | None -> None
+        | Some mrc -> (
+            match Mrc.recover mrc era.e_damage ~initiator ~trigger ~dst with
+            | Mrc.Delivered p -> Some (Path.nodes p)
+            | Mrc.Dropped _ -> None))
+    | No_recovery | Randroute_scheme -> None
+  in
+  match nodes with
+  | Some nodes -> route_of_nodes ctx.g ~initiator nodes
+  | None -> Dropped
 
-(* --- evaluation ------------------------------------------------------ *)
+(* The pool cell of a break: a lock-free read once filled; the first
+   reader fills it, and a racing reader waits on the lock and then
+   finds it filled. *)
+let pooled_outcome ctx era_idx era brk ~initiator ~trigger ~dst =
+  let cell = era.outcomes.((brk * Graph.n_nodes ctx.g) + dst) in
+  match Atomic.get cell with
+  | Pending ->
+      Mutex.protect ctx.lock (fun () ->
+          match Atomic.get cell with
+          | Pending ->
+              let o = compute_outcome ctx era_idx era ~initiator ~trigger ~dst in
+              Atomic.set cell o;
+              o
+          | o -> o)
+  | o -> o
 
-let add_load loads links rate =
-  List.iter (fun l -> loads.(l) <- loads.(l) + rate) links
+(* Randroute's choice depends on the flow, so it is drawn per flow and
+   never pooled. *)
+let randroute ctx era ~flow_idx ~initiator ~dst =
+  match ctx.rr with
+  | None -> Dropped
+  | Some rr -> (
+      match Randroute.reroute rr era.e_post ~flow:flow_idx ~initiator ~dst with
+      | Randroute.Rerouted { nodes; _ } -> route_of_nodes ctx.g ~initiator nodes
+      | Randroute.No_route -> Dropped)
 
-let eval_flow ctx acc caches ~flow_idx f =
+(* --- pass 2: the per-flow loop ----------------------------------------- *)
+
+(* Where the last [walk] stopped: the router, and its next hop when
+   the walk stopped at a break. *)
+type cursor = { mutable at : Graph.node; mutable next : Graph.node }
+
+let reached = -1
+let no_route = -2
+
+(* Follows [table]'s route from [u] toward [dst], adding [rate] to
+   [loads] on every link crossed.  Stops at [dst] ([reached]), at a
+   missing route ([no_route]), or before the first hop that [breaks]
+   marks unusable (the break's id); [cur] records where. *)
+let rec walk table breaks loads rate cur u ~dst =
+  if u = dst then begin
+    cur.at <- u;
+    reached
+  end
+  else
+    let v = Route_table.next_hop_int table ~src:u ~dst in
+    if v < 0 then begin
+      cur.at <- u;
+      no_route
+    end
+    else
+      let l = Route_table.next_link_int table ~src:u ~dst in
+      let brk = breaks.(hop_slot u v l) in
+      if brk >= 0 then begin
+        cur.at <- u;
+        cur.next <- v;
+        brk
+      end
+      else begin
+        loads.(l) <- loads.(l) + rate;
+        walk table breaks loads rate cur v ~dst
+      end
+
+(* Takes back what a [walk] charged from [u] up to [stop]. *)
+let rec uncharge table loads rate u ~stop ~dst =
+  if u <> stop then begin
+    let l = Route_table.next_link_int table ~src:u ~dst in
+    loads.(l) <- loads.(l) - rate;
+    uncharge table loads rate (Route_table.next_hop_int table ~src:u ~dst) ~stop ~dst
+  end
+
+let charge_links loads links rate =
+  for i = 0 to Array.length links - 1 do
+    let l = links.(i) in
+    loads.(l) <- loads.(l) + rate
+  done
+
+(* A broken flow in the recovery window: the walk has charged the
+   pre-failure prefix up to the initiator [cur.at]; the scheme's
+   outcome either extends it to [dst] or the prefix is taken back. *)
+let recover_flow ctx acc cur ~flow_idx era_idx era brk ~src ~dst ~rate =
+  let initiator = cur.at in
+  let outcome =
+    match ctx.config.scheme with
+    | No_recovery -> Dropped
+    | Randroute_scheme -> randroute ctx era ~flow_idx ~initiator ~dst
+    | Rtr_scheme | Fcp_scheme | Mrc_scheme ->
+        pooled_outcome ctx era_idx era brk ~initiator ~trigger:cur.next ~dst
+  in
+  let loads = acc.rec_loads.(era_idx) in
+  match outcome with
+  | Route { links; cost } ->
+      acc.delivered <- acc.delivered + (rate * era.rec_ms);
+      acc.recovered <- acc.recovered + 1;
+      charge_links loads links rate;
+      (* the prefix follows shortest-path rows, so its cost is a
+         difference of the pre-failure table's distances *)
+      let cost =
+        Route_table.dist ctx.pre ~src ~dst
+        - Route_table.dist ctx.pre ~src:initiator ~dst
+        + cost
+      in
+      let best = Route_table.dist era.e_post ~src ~dst in
+      if best > 0 && best < max_int then begin
+        acc.stretch_cost <- acc.stretch_cost + cost;
+        acc.stretch_best <- acc.stretch_best + best;
+        let s = float_of_int cost /. float_of_int best in
+        if s > acc.stretch_max then acc.stretch_max <- s
+      end
+  | Dropped | Pending ->
+      acc.dropped_recovery <- acc.dropped_recovery + (rate * era.rec_ms);
+      uncharge ctx.pre loads rate src ~stop:initiator ~dst
+
+let eval_era ctx acc cur ~flow_idx era_idx era ~src ~dst ~rate =
+  let total_ms = era.hold_ms + era.rec_ms + era.conv_ms in
+  if total_ms > 0 && Damage.node_ok era.e_damage src then begin
+    acc.offered <- acc.offered + (rate * total_ms);
+    (* converged tail: the era's post-failure FIB *)
+    if era.conv_ms > 0 then begin
+      if Route_table.dist era.e_post ~src ~dst = max_int then
+        acc.dropped_no_route <- acc.dropped_no_route + (rate * era.conv_ms)
+      else begin
+        acc.delivered <- acc.delivered + (rate * era.conv_ms);
+        ignore
+          (walk era.e_post ctx.no_breaks acc.post_loads rate cur src ~dst : int)
+      end
+    end;
+    (* pre-convergence: the pre-failure FIB against this era's truth,
+       charged to the recovery window as it is walked *)
+    let charge = if era.rec_ms > 0 then rate else 0 in
+    let loads = acc.rec_loads.(era_idx) in
+    let verdict = walk ctx.pre era.breaks loads charge cur src ~dst in
+    if verdict = reached then
+      acc.delivered <- acc.delivered + (rate * (era.hold_ms + era.rec_ms))
+    else if verdict = no_route then begin
+      acc.dropped_no_route <-
+        acc.dropped_no_route + (rate * (era.hold_ms + era.rec_ms));
+      uncharge ctx.pre loads charge src ~stop:cur.at ~dst
+    end
+    else begin
+      acc.blackholed <- acc.blackholed + (rate * era.hold_ms);
+      if era.rec_ms > 0 then begin
+        acc.broken <- acc.broken + 1;
+        recover_flow ctx acc cur ~flow_idx era_idx era verdict ~src ~dst ~rate
+      end
+    end
+  end
+
+let eval_flow ctx acc cur ~flow_idx f =
   acc.flows <- acc.flows + 1;
-  let rate = f.rate in
-  (* pre-failure window *)
-  let pre_ms = ms_between 0.0 (Float.min ctx.config.t_fail ctx.config.t_end) in
-  if pre_ms > 0 then begin
-    acc.offered <- acc.offered + (rate * pre_ms);
-    match classify ctx (Damage.none ctx.g) ~src:f.src ~dst:f.dst with
-    | Intact links ->
-        acc.delivered <- acc.delivered + (rate * pre_ms);
-        add_load acc.base_loads links rate
-    | Broken _ | No_pre_route ->
-        acc.dropped_no_route <- acc.dropped_no_route + (rate * pre_ms)
+  let src = f.src and dst = f.dst and rate = f.rate in
+  if ctx.pre_ms > 0 then begin
+    acc.offered <- acc.offered + (rate * ctx.pre_ms);
+    if walk ctx.pre ctx.no_breaks acc.base_loads rate cur src ~dst = reached
+    then acc.delivered <- acc.delivered + (rate * ctx.pre_ms)
+    else begin
+      acc.dropped_no_route <- acc.dropped_no_route + (rate * ctx.pre_ms);
+      uncharge ctx.pre acc.base_loads rate src ~stop:cur.at ~dst
+    end
   end;
-  Array.iteri
-    (fun era_idx era ->
-      let seg1 = ms_between era.e_start era.e_det in
-      let seg2 = ms_between era.e_det era.e_conv in
-      let seg3 = ms_between era.e_conv era.e_end in
-      if
-        seg1 + seg2 + seg3 > 0
-        && Damage.node_ok era.e_damage f.src
-      then begin
-        acc.offered <- acc.offered + (rate * (seg1 + seg2 + seg3));
-        (* converged tail: the era's post-failure FIB *)
-        let post_route =
-          if Route_table.dist era.e_post ~src:f.src ~dst:f.dst = max_int then
-            None
-          else
-            Some
-              (let rec go at acc_links =
-                 if at = f.dst then List.rev acc_links
-                 else
-                   match
-                     ( Route_table.next_hop era.e_post ~src:at ~dst:f.dst,
-                       Route_table.next_link era.e_post ~src:at ~dst:f.dst )
-                   with
-                   | Some v, Some l -> go v (l :: acc_links)
-                   | _ -> List.rev acc_links
-               in
-               go f.src [])
-        in
-        (if seg3 > 0 then
-           match post_route with
-           | Some links ->
-               acc.delivered <- acc.delivered + (rate * seg3);
-               add_load acc.post_loads links rate
-           | None ->
-               acc.dropped_no_route <- acc.dropped_no_route + (rate * seg3));
-        (* pre-convergence: the pre-failure FIB against this era's truth *)
-        match classify ctx era.e_damage ~src:f.src ~dst:f.dst with
-        | Intact links ->
-            if seg1 > 0 then acc.delivered <- acc.delivered + (rate * seg1);
-            if seg2 > 0 then begin
-              acc.delivered <- acc.delivered + (rate * seg2);
-              add_load acc.rec_loads.(era_idx) links rate
-            end
-        | No_pre_route ->
-            if seg1 + seg2 > 0 then
-              acc.dropped_no_route <-
-                acc.dropped_no_route + (rate * (seg1 + seg2))
-        | Broken { at; trigger; prefix_rev } ->
-            if seg1 > 0 then acc.blackholed <- acc.blackholed + (rate * seg1);
-            if seg2 > 0 then begin
-              acc.broken <- acc.broken + 1;
-              match
-                recover ctx caches ~flow_idx era_idx era ~initiator:at ~trigger
-                  ~dst:f.dst
-              with
-              | Some tail_nodes ->
-                  (* full route: src .. at, then the recovery walk *)
-                  let nodes =
-                    List.rev_append prefix_rev (List.tl tail_nodes)
-                  in
-                  acc.delivered <- acc.delivered + (rate * seg2);
-                  acc.recovered <- acc.recovered + 1;
-                  add_load acc.rec_loads.(era_idx)
-                    (links_of_nodes ctx.g nodes)
-                    rate;
-                  let cost = cost_of_nodes ctx.g nodes in
-                  let best =
-                    Route_table.dist era.e_post ~src:f.src ~dst:f.dst
-                  in
-                  if best > 0 && best < max_int then begin
-                    acc.stretch_cost <- acc.stretch_cost + cost;
-                    acc.stretch_best <- acc.stretch_best + best;
-                    let s = float_of_int cost /. float_of_int best in
-                    if s > acc.stretch_max then acc.stretch_max <- s
-                  end
-              | None ->
-                  acc.dropped_recovery <-
-                    acc.dropped_recovery + (rate * seg2)
-            end
-      end)
-    ctx.eras
+  for era_idx = 0 to Array.length ctx.eras - 1 do
+    eval_era ctx acc cur ~flow_idx era_idx ctx.eras.(era_idx) ~src ~dst ~rate
+  done
 
 let eval_slice ctx flows ~lo ~hi =
   let acc = acc_create ctx in
-  let caches =
-    { sessions = Hashtbl.create 32; outcomes = Hashtbl.create 256 }
-  in
+  let cur = { at = 0; next = 0 } in
   for i = lo to hi - 1 do
     let f = flows.(i) in
-    if f.src <> f.dst && f.rate > 0 then
-      eval_flow ctx acc caches ~flow_idx:i f
+    if f.src <> f.dst && f.rate > 0 then eval_flow ctx acc cur ~flow_idx:i f
   done;
   acc
 

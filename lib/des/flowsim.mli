@@ -36,7 +36,8 @@
     a sharded evaluation reduces to byte-identical results at every
     [--jobs].  Recovery outcomes are pure functions of
     [(era, initiator, trigger, dst)] (plus the flow index for
-    [Randroute]), never of evaluation order or shared load state. *)
+    [Randroute]), never of evaluation order or shared load state, so
+    they are computed once per context and shared by every slice. *)
 
 module Graph = Rtr_graph.Graph
 module Damage = Rtr_failure.Damage
@@ -71,8 +72,12 @@ type config = {
 val default_config : config
 
 type context
-(** Immutable per-run state: routing tables and window boundaries for
-    every era, shareable across evaluation shards. *)
+(** Per-run state: routing tables, window lengths and the break table
+    of every era, plus the recovery pool.  The pool holds each RTR
+    session [(era, initiator, trigger)] and each RTR/FCP/MRC outcome
+    [(era, initiator, trigger, dst)] once filled.  It is filled lazily
+    and exactly once per key, under a lock the context owns, by
+    whichever slice first needs the key. *)
 
 val context : Rtr_topo.Topology.t -> Damage.t -> ?mrc:Mrc.t -> config -> context
 (** [?mrc] supplies a prebuilt MRC structure (it is topology-only, so
@@ -83,9 +88,15 @@ type acc
 (** Mergeable integer accumulators for one evaluated slice. *)
 
 val eval_slice : context -> flow array -> lo:int -> hi:int -> acc
-(** Evaluates [flows.(lo) .. flows.(hi - 1)].  Slices of the same array
-    may be evaluated concurrently; flow identity (the array index) is
-    what keeps randomized decisions shard-invariant. *)
+(** Evaluates [flows.(lo) .. flows.(hi - 1)].  Any number of slices of
+    one context may run at once, on any domains: they share its pool,
+    and each returns its own accumulator.  The phase-2 work of a pool
+    fill is counted on the domain that fills it, so once worker
+    metrics are absorbed (as [Rtr_sim.Parallel.map] does) the work
+    counters are the same at every chunking and worker count.  Flow
+    identity (the array index) is what keeps randomized decisions
+    shard-invariant.  With the pool filled, a slice allocates only
+    its accumulator. *)
 
 val merge : acc -> acc -> acc
 (** Folds the right accumulator into the left {e in place} and returns

@@ -82,6 +82,9 @@ let compute_filtered ?(node_ok = fun _ -> true) ?(link_ok = fun _ -> true)
 
 let graph t = t.graph
 
+let next_hop_int t ~src ~dst = t.next.(dst).(src)
+let next_link_int t ~src ~dst = t.next_lnk.(dst).(src)
+
 let next_hop t ~src ~dst =
   let v = t.next.(dst).(src) in
   if v = -1 then None else Some v

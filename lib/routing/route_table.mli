@@ -34,6 +34,14 @@ val next_hop : t -> src:Graph.node -> dst:Graph.node -> Graph.node option
 
 val next_link : t -> src:Graph.node -> dst:Graph.node -> Graph.link_id option
 
+val next_hop_int : t -> src:Graph.node -> dst:Graph.node -> Graph.node
+(** [next_hop] as a bare int, [-1] where [next_hop] is [None]: two
+    array reads, no allocation — for per-hop loops such as the flow
+    engine's route walks. *)
+
+val next_link_int : t -> src:Graph.node -> dst:Graph.node -> Graph.link_id
+(** [next_link] as a bare int, [-1] where [next_link] is [None]. *)
+
 val dist : t -> src:Graph.node -> dst:Graph.node -> int
 (** Cost of the default routing path; [max_int] if unreachable, [0] on
     the diagonal. *)

@@ -121,18 +121,29 @@ echo "ci_smoke: determinism gate OK (RTR_JOBS=1 == RTR_JOBS=4)"
 
 # --- flow-engine gate ------------------------------------------------
 # The flow-level congestion report must be byte-identical across
-# worker counts (integer accumulators over a fixed shard grid), and
-# the quick bench's flow sweep must actually have evaluated at least a
-# million flows (2 topologies x 5 schemes x REPRO_FLOWS).
+# worker counts (integer accumulators over a fixed shard grid), the
+# recovery work must be too (the engine's pool computes each recovery
+# outcome once, whichever domain gets there first), and the quick
+# bench's flow sweep must actually have evaluated at least a million
+# flows (2 topologies x 5 schemes x REPRO_FLOWS).
 dune exec bin/rtr_sim.exe -- flows --topos AS209,AS1239 --flows 20000 \
-  --jobs 1 > "$tmp/fl1.txt" 2> /dev/null
+  --jobs 1 --metrics "$tmp/flm1.json" > "$tmp/fl1.txt" 2> /dev/null
 dune exec bin/rtr_sim.exe -- flows --topos AS209,AS1239 --flows 20000 \
-  --jobs 4 > "$tmp/fl4.txt" 2> /dev/null
+  --jobs 4 --metrics "$tmp/flm4.json" > "$tmp/fl4.txt" 2> /dev/null
 
 if ! diff "$tmp/fl1.txt" "$tmp/fl4.txt"; then
   echo "ci_smoke: FAIL — congestion report differs between --jobs 1 and --jobs 4" >&2
   exit 1
 fi
+
+for counter in phase2.creates phase2.sp_calcs pqueue.pop; do
+  w1=$(grep -o "\"$counter\":[0-9]*" "$tmp/flm1.json" | cut -d: -f2)
+  w4=$(grep -o "\"$counter\":[0-9]*" "$tmp/flm4.json" | cut -d: -f2)
+  if [ -z "$w1" ] || [ "$w1" != "$w4" ]; then
+    echo "ci_smoke: FAIL — flows $counter is '$w1' at --jobs 1 but '$w4' at --jobs 4" >&2
+    exit 1
+  fi
+done
 
 flows_n=$(grep -o '"netsim.flows":[0-9]*' BENCH_smoke.json | cut -d: -f2)
 if [ -z "$flows_n" ] || [ "$flows_n" -lt 1000000 ]; then

@@ -4,6 +4,7 @@ module Flowsim = Rtr_des.Flowsim
 module Randroute = Rtr_baselines.Randroute
 module Route_table = Rtr_routing.Route_table
 module View = Rtr_graph.View
+module Metrics = Rtr_obs.Metrics
 
 let paper_topo () = Rtr_topo.Paper_example.topology ()
 
@@ -138,32 +139,101 @@ let test_all_schemes_run () =
     [ Flowsim.Rtr_scheme; Flowsim.Fcp_scheme; Flowsim.Mrc_scheme;
       Flowsim.Randroute_scheme ]
 
-(* Sharding must be invisible: one slice vs. many slices merged in
-   order must agree exactly, including the per-link load arrays.  This
-   is the property the CI jobs-invariance gate checks end to end. *)
+let merge_all = function
+  | first :: rest -> List.fold_left Flowsim.merge first rest
+  | [] -> assert false
+
+(* The recovery work of a run: these counters only move with work done
+   once per pooled key, so they must not depend on the sharding. *)
+let work_counters = [ "phase2.creates"; "phase2.sp_calcs"; "pqueue.pop" ]
+
+let counted f =
+  let totals () =
+    let snap = Metrics.snapshot () in
+    List.map
+      (fun name ->
+        Option.value ~default:0 (Metrics.Snapshot.counter snap name))
+      work_counters
+  in
+  let before = totals () in
+  let r = f () in
+  (r, List.map2 ( - ) (totals ()) before)
+
+(* Sharding must be invisible: one slice, irregular slices merged in
+   order and a two-domain pool must agree exactly, including the
+   per-link load arrays — and the recovery pool is filled once per key
+   whatever the sharding, so the work counters agree too.  This is the
+   property the CI jobs-invariance gate checks end to end. *)
 let test_shard_invariance () =
   let topo = paper_topo () in
   let g = Rtr_topo.Topology.graph topo in
   let damage = paper_damage g in
+  let flows = Flowsim.demand topo ~n:600 ~seed:13 in
   List.iter
     (fun scheme ->
-      let config = quick_config scheme in
-      let flows = Flowsim.demand topo ~n:600 ~seed:13 in
-      let ctx = Flowsim.context topo damage config in
-      let whole =
-        Flowsim.finish ctx (Flowsim.eval_slice ctx flows ~lo:0 ~hi:600)
+      let name = Flowsim.scheme_name scheme in
+      let run eval =
+        counted (fun () ->
+            let ctx = Flowsim.context topo damage (quick_config scheme) in
+            Flowsim.finish ctx (eval ctx))
       in
-      let shards =
-        [ (0, 7); (7, 100); (100, 101); (101, 350); (350, 600) ]
-        |> List.map (fun (lo, hi) -> Flowsim.eval_slice ctx flows ~lo ~hi)
+      let whole, w_whole =
+        run (fun ctx -> Flowsim.eval_slice ctx flows ~lo:0 ~hi:600)
       in
-      let merged =
-        match shards with
-        | first :: rest -> List.fold_left Flowsim.merge first rest
-        | [] -> assert false
+      let sharded, w_sharded =
+        run (fun ctx ->
+            [ (0, 7); (7, 100); (100, 101); (101, 350); (350, 600) ]
+            |> List.map (fun (lo, hi) -> Flowsim.eval_slice ctx flows ~lo ~hi)
+            |> merge_all)
       in
-      stats_equal whole (Flowsim.finish ctx merged))
-    [ Flowsim.Rtr_scheme; Flowsim.Randroute_scheme ]
+      let parallel, w_parallel =
+        run (fun ctx ->
+            Array.init 16 (fun i -> (i * 600 / 16, (i + 1) * 600 / 16))
+            |> Rtr_sim.Parallel.map ~jobs:2 (fun (lo, hi) ->
+                   Flowsim.eval_slice ctx flows ~lo ~hi)
+            |> Array.to_list |> merge_all)
+      in
+      stats_equal whole sharded;
+      stats_equal whole parallel;
+      Alcotest.(check (list int)) (name ^ " work, sharded") w_whole w_sharded;
+      Alcotest.(check (list int)) (name ^ " work, two domains") w_whole
+        w_parallel;
+      if scheme = Flowsim.Rtr_scheme then
+        Alcotest.(check bool) "rtr starts sessions" true (List.hd w_whole > 0))
+    Rtr_sim.Experiments.congestion_schemes
+
+(* Pass 2 allocates nothing per flow: on a warmed context (every pooled
+   outcome already filled) a whole slice allocates only its
+   accumulators, well under a word per flow.  The list- and
+   option-building loop this replaced allocated ~390 words per flow
+   here, so any per-hop allocation trips the bound. *)
+let test_eval_allocation () =
+  let preset = Option.get (Rtr_topo.Isp.find "AS209") in
+  let topo = Rtr_topo.Isp.load preset in
+  let table = Rtr_sim.Topo_cache.table (Rtr_sim.Topo_cache.shared topo) in
+  let rng = Rtr_util.Rng.make 61 in
+  let rec draw () =
+    let d = (Rtr_sim.Scenario.generate topo table rng ()).Rtr_sim.Scenario.damage in
+    if Damage.n_failed_links d > 0 then d else draw ()
+  in
+  let damage = draw () in
+  let n = 10_000 in
+  let flows = Flowsim.demand topo ~n ~seed:67 in
+  List.iter
+    (fun scheme ->
+      let name = Flowsim.scheme_name scheme in
+      let ctx = Flowsim.context topo damage (quick_config scheme) in
+      ignore (Flowsim.eval_slice ctx flows ~lo:0 ~hi:n : Flowsim.acc);
+      let w0 = Gc.minor_words () in
+      let acc = Flowsim.eval_slice ctx flows ~lo:0 ~hi:n in
+      let per_flow = (Gc.minor_words () -. w0) /. float_of_int n in
+      let s = Flowsim.finish ctx acc in
+      Alcotest.(check bool) (name ^ " breaks flows") true (s.Flowsim.broken > 0);
+      if scheme = Flowsim.Rtr_scheme then
+        Alcotest.(check bool) "rtr recovers flows" true (s.Flowsim.recovered > 0);
+      if per_flow > 1.0 then
+        Alcotest.failf "%s: %.2f minor words per flow (bound 1.0)" name per_flow)
+    [ Flowsim.No_recovery; Flowsim.Rtr_scheme ]
 
 let test_demand_deterministic () =
   let topo = paper_topo () in
@@ -226,6 +296,7 @@ let suite =
     Alcotest.test_case "rtr beats no recovery" `Quick test_rtr_beats_no_recovery;
     Alcotest.test_case "all schemes run" `Quick test_all_schemes_run;
     Alcotest.test_case "shard invariance" `Quick test_shard_invariance;
+    Alcotest.test_case "eval allocation" `Quick test_eval_allocation;
     Alcotest.test_case "demand deterministic" `Quick test_demand_deterministic;
     Alcotest.test_case "restore episode improves delivery" `Quick
       test_restore_episode_improves_delivery;

@@ -92,8 +92,39 @@ let next_link_matches_next_hop =
       done;
       !ok)
 
+(* The int accessors are the option accessors with -1 for [None], on
+   every (src, dst) of a Table-II AS — before the failure and after it,
+   where the damaged table has unreachable pairs and dead routers. *)
+let test_int_accessors_agree () =
+  let topo = Rtr_topo.Isp.load_by_name "AS209" in
+  let g = Rtr_topo.Topology.graph topo in
+  let damage =
+    Rtr_failure.Damage.of_failed g ~nodes:[ 0; 7; 19 ] ~links:[ 3; 40; 77 ]
+  in
+  let as_int = function None -> -1 | Some v -> v in
+  List.iter
+    (fun (label, view) ->
+      let t = Route_table.compute view in
+      let nones = ref 0 in
+      for src = 0 to Graph.n_nodes g - 1 do
+        for dst = 0 to Graph.n_nodes g - 1 do
+          let hop = Route_table.next_hop t ~src ~dst in
+          if hop = None then incr nones;
+          Alcotest.(check int) (label ^ " next hop") (as_int hop)
+            (Route_table.next_hop_int t ~src ~dst);
+          Alcotest.(check int) (label ^ " next link")
+            (as_int (Route_table.next_link t ~src ~dst))
+            (Route_table.next_link_int t ~src ~dst)
+        done
+      done;
+      (* the diagonal at least; the damaged table cuts far more *)
+      Alcotest.(check bool) (label ^ " has no-route pairs") true
+        (!nones >= Graph.n_nodes g))
+    [ ("full", View.full g); ("damaged", Rtr_failure.Damage.view damage) ]
+
 let suite =
   [
+    Alcotest.test_case "int accessors agree" `Quick test_int_accessors_agree;
     Alcotest.test_case "next hop basics" `Quick test_next_hop_basics;
     Alcotest.test_case "deterministic tie break" `Quick test_deterministic_tie_break;
     Alcotest.test_case "default path consistent" `Quick test_default_path_consistent;
