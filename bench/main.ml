@@ -225,6 +225,11 @@ let bench_tests () =
     Test.make ~name:"fig11/classify-failed-paths"
       (Staged.stage (fun () ->
            ignore (Rtr_sim.Scenario.count_failed_paths t tbl d)));
+    (* Ablation: the same classification by the hop-by-hop walk over
+       all n^2 default paths, the reference the link index replaced. *)
+    Test.make ~name:"ablation/classify-walk"
+      (Staged.stage (fun () ->
+           ignore (Rtr_check.Classify_walk.count_failed_paths t tbl d)));
     (* Figs. 8/9/12/13 kernel: reducing samples to a CDF. *)
     Test.make ~name:"figs/cdf-of-2000"
       (Staged.stage
@@ -310,7 +315,17 @@ let run_benchmarks () =
     (String.make 48 '-');
   List.iter
     (fun (name, ns) -> Printf.printf "%-36s %s\n" name (pretty ns))
-    (List.rev !results)
+    (List.rev !results);
+  match
+    ( List.assoc_opt "ablation/classify-walk" !results,
+      List.assoc_opt "fig11/classify-failed-paths" !results )
+  with
+  | Some walk, Some indexed ->
+      let ratio = walk /. indexed in
+      Metrics.Gauge.set (Metrics.gauge "bench.classify_walk_ratio") ratio;
+      Printf.printf "link-index classification: %.1fx faster than the walk\n"
+        ratio
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Recovery-map ablation: what the precomputed service costs offline
@@ -370,8 +385,7 @@ let rmap_ablation () =
             b.Service.per_sec b.Service.ns_per_lookup;
           (* The reactive alternative to one of those lookups: recompute
              the whole scenario's recovery from scratch. *)
-          let cache = Rtr_sim.Topo_cache.shared t in
-          let tbl = Rtr_sim.Topo_cache.table cache in
+          let tbl = Rtr_sim.Topo_cache.table (Rtr_sim.Topo_cache.shared t) in
           let reps = if !quick then 20 else 100 in
           let rng = Rtr_util.Rng.make 7 in
           let signatures =
@@ -383,7 +397,7 @@ let rmap_ablation () =
           Array.iter
             (fun s ->
               ignore
-                (Compile.eval_links ~cache t tbl (Rtr_rmap.Signature.to_links s)))
+                (Compile.eval_links t tbl (Rtr_rmap.Signature.to_links s)))
             signatures;
           let reactive_ns = (Trace.now () -. t0) *. 1e9 /. float_of_int reps in
           Metrics.Gauge.set (Metrics.gauge "rmap.reactive_ns") reactive_ns;

@@ -410,7 +410,7 @@ let run_cmd =
         let results =
           Rtr_sim.Parallel.map ~jobs
             (fun c ->
-              Rtr_sim.Runner.run_scenario ~cache ~mrc
+              Rtr_sim.Runner.run_scenario ~mrc
                 { scenario with Rtr_sim.Scenario.cases = [ c ] })
             (Array.of_list cases)
         in

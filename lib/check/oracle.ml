@@ -856,6 +856,32 @@ let rmap_run ~inject:_ spec =
                         stored.Rtr_rmap.Store.true_cost true_cost)
                   cases))
 
+(* --- classification ------------------------------------------------- *)
+
+(* The link-index classifiers against the hop-by-hop walk, on the
+   pre-failure table: Fig. 11's counts, and the case list in order. *)
+let classify_run ~inject:_ spec =
+  let topo, damage = Spec.build spec in
+  let g = Rtr_topo.Topology.graph topo in
+  let name = "classify_vs_walk" in
+  let table = Route_table.compute (View.full g) in
+  let ri, ii = Scenario.count_failed_paths topo table damage in
+  let rw, iw = Classify_walk.count_failed_paths topo table damage in
+  if (ri, ii) <> (rw, iw) then
+    Some
+      (violation name
+         "failed-path counts (%d recoverable, %d irrecoverable), the walk \
+          (%d, %d)"
+         ri ii rw iw)
+  else
+    let indexed = Scenario.cases_of_damage topo table damage in
+    let walked = Classify_walk.cases_of_damage topo table damage in
+    if indexed = walked then None
+    else
+      Some
+        (violation name "%d cases extracted, the walk %d (or a different order)"
+           (List.length indexed) (List.length walked))
+
 (* --- registry ------------------------------------------------------- *)
 
 let no_loop =
@@ -919,6 +945,13 @@ let rmap_vs_reactive =
     name = "rmap_vs_reactive";
     doc = "precompiled recovery-map lookups equal fresh reactive runs";
     run = rmap_run;
+  }
+
+let classify_vs_walk =
+  {
+    name = "classify_vs_walk";
+    doc = "link-index path classification equals the hop-by-hop walk";
+    run = classify_run;
   }
 
 let episode_no_loop =
@@ -1042,6 +1075,7 @@ let all =
     dial_vs_heap;
     parallel_vs_sequential;
     rmap_vs_reactive;
+    classify_vs_walk;
     episode_no_loop;
     episode_optimal;
     episode_single_link;

@@ -36,6 +36,10 @@
       artifact and probing it back returns, case for case, exactly what
       an independently-built reactive session answers (fresh sessions
       without the shared SPT cache, costs summed link by link).
+    - [classify_vs_walk] — Fig. 11's failed-path counts and the
+      extracted test cases, both computed over the route table's link
+      index, equal the hop-by-hop walk of {!Classify_walk}, the case
+      list in the same order.
     - [episode_no_loop] / [episode_optimal] / [episode_single_link] —
       the three theorems re-evaluated per episode transition of a
       timeline spec (see {!Episode}); all three return [None] instantly
@@ -125,6 +129,7 @@ val ws_spt_vs_filtered : t
 val dial_vs_heap : t
 val parallel_vs_sequential : t
 val rmap_vs_reactive : t
+val classify_vs_walk : t
 val episode_no_loop : t
 val episode_optimal : t
 val episode_single_link : t

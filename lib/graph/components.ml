@@ -5,20 +5,25 @@ let compute view =
   let n = Graph.n_nodes g in
   let id = Array.make n (-1) in
   let count = ref 0 in
-  let q = Queue.create () in
+  (* An id is stamped when its node is pushed, so each node enters the
+     stack once; ids depend only on each component's smallest node, not
+     on the traversal order. *)
+  let stack = Array.make n 0 and sp = ref 0 and c = ref 0 in
+  let visit v _ =
+    if id.(v) = -1 then begin
+      id.(v) <- !c;
+      stack.(!sp) <- v;
+      incr sp
+    end
+  in
   for s = 0 to n - 1 do
     if View.node_ok view s && id.(s) = -1 then begin
-      let c = !count in
+      c := !count;
       incr count;
-      id.(s) <- c;
-      Queue.push s q;
-      while not (Queue.is_empty q) do
-        let u = Queue.pop q in
-        View.iter_neighbors view u (fun v _ ->
-            if id.(v) = -1 then begin
-              id.(v) <- c;
-              Queue.push v q
-            end)
+      visit s (-1);
+      while !sp > 0 do
+        decr sp;
+        View.iter_neighbors view stack.(!sp) visit
       done
     end
   done;

@@ -11,7 +11,7 @@ let c_cases = Metrics.counter "rmap.cases"
 let g_bytes = Metrics.gauge "rmap.artifact_bytes"
 let g_cases_per_sec = Metrics.gauge "rmap.precompute_cases_per_sec"
 
-let eval_links ?cache:_ topo table links =
+let eval_links topo table links =
   let damage =
     Damage.of_failed (Rtr_topo.Topology.graph topo) ~nodes:[] ~links
   in
@@ -131,14 +131,13 @@ let run ?(log = fun _ -> ()) ?(jobs = 1) topo config =
        "rmap: %d scenarios enumerated (%d deduped, %d dropped by budget, %d \
         empty)"
        stats.Enum.kept stats.Enum.deduped stats.Enum.dropped stats.Enum.empty);
-  let cache = Rtr_sim.Topo_cache.shared topo in
   (* Demand the table before sharding so workers contend on the cached
      value, not on computing it. *)
-  let table = Rtr_sim.Topo_cache.table cache in
+  let table = Rtr_sim.Topo_cache.table (Rtr_sim.Topo_cache.shared topo) in
   let entries =
     Rtr_sim.Parallel.map ~jobs
       (fun (sc : Enum.scenario) ->
-        (sc.Enum.signature, eval_links ~cache topo table sc.Enum.links))
+        (sc.Enum.signature, eval_links topo table sc.Enum.links))
       (Array.of_list scenarios)
   in
   let n_cases =

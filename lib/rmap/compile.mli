@@ -1,8 +1,8 @@
 (** The offline recovery-map compiler ([rtr_sim precompute]).
 
     For every enumerated failure scenario this runs RTR — phase 1 plus
-    phase 2 through the shared {!Rtr_sim.Topo_cache} hot path (cloned
-    pre-failure SPTs, one session per (initiator, trigger)) — and
+    phase 2 over the shared {!Rtr_sim.Topo_cache} route table, one
+    batched session per (initiator, trigger) — and
     records, per test case, exactly what the reactive protocol would
     answer at recovery time: outcome kind, the emitted source route,
     its cost in the initiator's view, and the true damaged-graph
@@ -18,7 +18,6 @@
 module Graph = Rtr_graph.Graph
 
 val eval_links :
-  ?cache:Rtr_sim.Topo_cache.t ->
   Rtr_topo.Topology.t ->
   Rtr_routing.Route_table.t ->
   Graph.link_id list ->

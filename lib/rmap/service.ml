@@ -61,9 +61,8 @@ let fallback t ~links ~initiator ~trigger ~dst =
   | None -> Error "signature not in the artifact (no fallback topology)"
   | Some topo ->
       Metrics.Counter.incr c_fallback;
-      let cache = Rtr_sim.Topo_cache.shared topo in
-      let table = Rtr_sim.Topo_cache.table cache in
-      let cases = Compile.eval_links ~cache topo table links in
+      let table = Rtr_sim.Topo_cache.table (Rtr_sim.Topo_cache.shared topo) in
+      let cases = Compile.eval_links topo table links in
       let found = ref None in
       Array.iter
         (fun (c : Store.case) ->

@@ -3,12 +3,24 @@ module Dijkstra = Rtr_graph.Dijkstra
 module View = Rtr_graph.View
 module Spt = Rtr_graph.Spt
 
+module Link_index = struct
+  type t = {
+    n : int;
+    link_off : int array;
+    pair_dst : int array;
+    pair_src : int array;
+    child_off : int array;
+    children : int array;
+  }
+end
+
 type t = {
   graph : Graph.t;
   (* [next.(dst).(src)] and [dist_to.(dst).(src)] *)
   next : int array array;
   next_lnk : int array array;
   dist_to : int array array;
+  index : Link_index.t option Atomic.t;
 }
 
 let compute view =
@@ -44,7 +56,7 @@ let compute view =
     next_lnk.(dst) <- link_row;
     dist_to.(dst) <- dist_row
   done;
-  { graph; next; next_lnk; dist_to }
+  { graph; next; next_lnk; dist_to; index = Atomic.make None }
 
 (* Closure-pair reference implementation: the equivalence oracle. *)
 let compute_filtered ?(node_ok = fun _ -> true) ?(link_ok = fun _ -> true)
@@ -78,7 +90,7 @@ let compute_filtered ?(node_ok = fun _ -> true) ?(link_ok = fun _ -> true)
     next_lnk.(dst) <- link_row;
     dist_to.(dst) <- dist_row
   done;
-  { graph; next; next_lnk; dist_to }
+  { graph; next; next_lnk; dist_to; index = Atomic.make None }
 
 let graph t = t.graph
 
@@ -106,36 +118,60 @@ let default_path t ~src ~dst =
     Some (Rtr_graph.Path.of_nodes (walk [] src))
   end
 
-(* [default_path] + [Path.is_valid] fused, without materialising the
-   path: walk the precomputed next/link rows and probe the view's
-   bitsets directly.  This is the fig-11 classification kernel, run
-   n^2 times per sampled failure area, so the list building and the
-   per-hop [Graph.find_link] scans of the naive pair are worth fusing
-   away.  [None] when the table has no pre-failure path; otherwise
-   [Some valid] with exactly [Path.is_valid view (default_path ...)]'s
-   verdict. *)
-let default_path_valid t view ~src ~dst =
-  if src = dst then Some (View.node_ok view src)
-  else begin
+(* Both CSR tables in O(n^2): a counting pass sizes every bucket, a
+   prefix sum turns the counts into offsets, and a fill pass in
+   ascending (dst, src) order leaves each bucket sorted. *)
+let build_index t =
+  let n = Graph.n_nodes t.graph and m = Graph.n_links t.graph in
+  let link_off = Array.make (m + 1) 0
+  and child_off = Array.make ((n * n) + 1) 0 in
+  for dst = 0 to n - 1 do
     let next_row = t.next.(dst) and link_row = t.next_lnk.(dst) in
-    if next_row.(src) = -1 then None
-    else begin
-      let u = ref src and verdict = ref true and walking = ref true in
-      while !walking do
-        if not (View.node_ok view !u) then begin
-          verdict := false;
-          walking := false
-        end
-        else if !u = dst then walking := false
-        else if not (View.link_ok view link_row.(!u)) then begin
-          verdict := false;
-          walking := false
-        end
-        else u := next_row.(!u)
-      done;
-      Some !verdict
-    end
-  end
+    for src = 0 to n - 1 do
+      let l = link_row.(src) in
+      if l >= 0 then begin
+        link_off.(l + 1) <- link_off.(l + 1) + 1;
+        let key = (dst * n) + next_row.(src) + 1 in
+        child_off.(key) <- child_off.(key) + 1
+      end
+    done
+  done;
+  for l = 1 to m do
+    link_off.(l) <- link_off.(l) + link_off.(l - 1)
+  done;
+  for k = 1 to n * n do
+    child_off.(k) <- child_off.(k) + child_off.(k - 1)
+  done;
+  let routed = link_off.(m) in
+  let pair_dst = Array.make routed 0 and pair_src = Array.make routed 0 in
+  let children = Array.make routed 0 in
+  let link_fill = Array.sub link_off 0 m
+  and child_fill = Array.sub child_off 0 (n * n) in
+  for dst = 0 to n - 1 do
+    let next_row = t.next.(dst) and link_row = t.next_lnk.(dst) in
+    for src = 0 to n - 1 do
+      let l = link_row.(src) in
+      if l >= 0 then begin
+        pair_dst.(link_fill.(l)) <- dst;
+        pair_src.(link_fill.(l)) <- src;
+        link_fill.(l) <- link_fill.(l) + 1;
+        let key = (dst * n) + next_row.(src) in
+        children.(child_fill.(key)) <- src;
+        child_fill.(key) <- child_fill.(key) + 1
+      end
+    done
+  done;
+  { Link_index.n; link_off; pair_dst; pair_src; child_off; children }
+
+(* A once-cell: racing domains may each build the index, the first CAS
+   publishes its copy, and every caller returns the published one. *)
+let link_index t =
+  match Atomic.get t.index with
+  | Some idx -> idx
+  | None ->
+      let idx = build_index t in
+      if Atomic.compare_and_set t.index None (Some idx) then idx
+      else Option.get (Atomic.get t.index)
 
 let equal a b =
   a.graph == b.graph && a.next = b.next && a.next_lnk = b.next_lnk

@@ -49,11 +49,36 @@ val dist : t -> src:Graph.node -> dst:Graph.node -> int
 val default_path : t -> src:Graph.node -> dst:Graph.node -> Rtr_graph.Path.t option
 (** The full default routing path, by following [next_hop]. *)
 
-val default_path_valid : t -> View.t -> src:Graph.node -> dst:Graph.node -> bool option
-(** [default_path_valid t view ~src ~dst] is
-    [Option.map (Path.is_valid view) (default_path t ~src ~dst)],
-    computed allocation-free by walking the table rows against the
-    view's bitsets — the hot classification kernel behind fig. 11. *)
+(** The table inverted by link: what a failure-driven consumer needs to
+    visit only the default paths a set of dead links breaks.  It covers
+    every routed (dst, src) pair: [src <> dst] with a default next
+    link. *)
+module Link_index : sig
+  type t = private {
+    n : int;  (** node count *)
+    link_off : int array;
+        (** [m + 1] offsets: link [l]'s pairs are at
+            [link_off.(l) .. link_off.(l + 1) - 1] of [pair_dst] and
+            [pair_src] *)
+    pair_dst : int array;
+    pair_src : int array;
+        (** the pairs whose default next link is that link, ascending
+            by (dst, src) within each link; [src] is always one of the
+            link's two endpoints *)
+    child_off : int array;
+        (** [n * n + 1] offsets keyed by [dst * n + u]: [u]'s children
+            in the routing tree towards [dst] are
+            [children.(child_off.(k)) .. children.(child_off.(k + 1) - 1)],
+            so [dst]'s routed sources number
+            [child_off.((dst + 1) * n) - child_off.(dst * n)] *)
+    children : int array;  (** the sources whose next hop is [u], ascending *)
+  }
+end
+
+val link_index : t -> Link_index.t
+(** Built in O(n^2) on first use and cached in the table, so
+    [compute] does not pay for it.  Safe to call from several domains
+    at once: every caller gets the same published index. *)
 
 val equal : t -> t -> bool
 (** Structural equality of the routing state (same underlying graph,

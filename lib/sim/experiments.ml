@@ -207,8 +207,7 @@ let collect_legacy ?(log = fun _ -> ()) config =
       @@ fun () ->
       let topo = Isp.load preset in
       let g = Rtr_topo.Topology.graph topo in
-      let cache = Topo_cache.shared topo in
-      let table = Topo_cache.table cache in
+      let table = Topo_cache.table (Topo_cache.shared topo) in
       let mrc =
         match config.mrc_k with
         | Some k -> (
@@ -257,7 +256,7 @@ let collect_legacy ?(log = fun _ -> ()) config =
       done;
       let shard_results =
         Parallel.map ~jobs:config.jobs
-          (Runner.run_scenario ~cache ~mrc)
+          (Runner.run_scenario ~mrc)
           (Array.of_list (List.rev !work))
       in
       let rec_acc = ref [] and irr_acc = ref [] in

@@ -86,7 +86,6 @@ let generate ~presets ~rec_quota ~irr_quota ~seed ~mrc_k () =
 type ctx = {
   topo : Rtr_topo.Topology.t;
   table : Rtr_routing.Route_table.t;
-  cache : Topo_cache.t;
   mrc : Mrc.t;
 }
 
@@ -110,12 +109,11 @@ let evaluate ~jobs ?capacity ~header ~next ~emit () =
           | None -> failwith ("unknown topology " ^ stat.Stream.as_name)
         in
         let topo = Isp.load preset in
-        let cache = Topo_cache.shared topo in
-        let table = Topo_cache.table cache in
+        let table = Topo_cache.table (Topo_cache.shared topo) in
         let mrc =
           mrc_for ~mrc_k:header.Stream.mrc_k (Rtr_topo.Topology.graph topo)
         in
-        ctxs.(ti) <- Some { topo; table; cache; mrc }
+        ctxs.(ti) <- Some { topo; table; mrc }
   in
   let producer () =
     match next () with
@@ -130,7 +128,7 @@ let evaluate ~jobs ?capacity ~header ~next ~emit () =
     {
       Stream.rseq = r.Stream.seq;
       rtopo = r.Stream.topo;
-      results = Runner.run_scenario ~cache:ctx.cache ~mrc:ctx.mrc scenario;
+      results = Runner.run_scenario ~mrc:ctx.mrc scenario;
     }
   in
   let consumer _seq res =

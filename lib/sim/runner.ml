@@ -149,7 +149,7 @@ let group_by_session cases key_of =
     cases;
   List.rev_map (fun (key, r) -> (key, List.rev !r)) !order
 
-let run_scenario ?cache:_ ~mrc (scenario : Scenario.t) =
+let run_scenario ~mrc (scenario : Scenario.t) =
   Rtr_obs.Trace.with_ "runner.scenario" @@ fun () ->
   Metrics.Counter.incr c_scenarios;
   Metrics.Counter.add c_cases (List.length scenario.Scenario.cases);

@@ -77,7 +77,9 @@ val cases_of_damage :
 (** The deduplicated test cases an arbitrary damage creates (what
     [of_area] enumerates), ascending by (initiator, dst) — shared by
     the fuzz oracles and the recovery-map compiler, which both start
-    from explicit failure sets rather than areas. *)
+    from explicit failure sets rather than areas.  Read off the
+    table's {!Rtr_routing.Route_table.link_index}: only the pairs
+    routed over a dead link are visited. *)
 
 val count_failed_paths :
   Rtr_topo.Topology.t ->
@@ -86,4 +88,8 @@ val count_failed_paths :
   int * int
 (** [(recoverable, irrecoverable)] counts over {e all} failed routing
     paths with a live source (no deduplication) — what Fig. 11
-    plots. *)
+    plots.  Failure-driven over the table's
+    {!Rtr_routing.Route_table.link_index}: the subtrees below dead
+    links, not every default path.  Adds the index entries, tree nodes
+    and table probes it touched to the [scenario.classify_visits]
+    counter. *)

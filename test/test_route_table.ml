@@ -122,6 +122,72 @@ let test_int_accessors_agree () =
         (!nones >= Graph.n_nodes g))
     [ ("full", View.full g); ("damaged", Rtr_failure.Damage.view damage) ]
 
+(* The link index is the table inverted: each routed (dst, src) pair
+   listed once, under its next link, and each src listed once as a
+   child of its next hop in dst's tree.  It is built once per table. *)
+let index_inverts_table =
+  QCheck.Test.make ~name:"link index inverts the table" ~count:30
+    QCheck.(pair (int_range 2 20) (int_range 0 30))
+    (fun (n, extra) ->
+      let g =
+        Rtr_check.Gen.random_weighted_graph ~seed:(n + (extra * 31)) ~n ~extra
+          ~max_cost:4
+      in
+      let t = Route_table.compute (View.full g) in
+      let idx = Route_table.link_index t in
+      let ok = ref (idx == Route_table.link_index t && idx.n = n) in
+      let seen = Array.make (n * n) 0 in
+      for l = 0 to Graph.n_links g - 1 do
+        for k = idx.link_off.(l) to idx.link_off.(l + 1) - 1 do
+          let dst = idx.pair_dst.(k) and src = idx.pair_src.(k) in
+          seen.((dst * n) + src) <- seen.((dst * n) + src) + 1;
+          if Route_table.next_link_int t ~src ~dst <> l then ok := false
+        done
+      done;
+      for dst = 0 to n - 1 do
+        for u = 0 to n - 1 do
+          let key = (dst * n) + u in
+          let expect =
+            List.filter
+              (fun src -> Route_table.next_hop_int t ~src ~dst = u)
+              (List.init n Fun.id)
+          in
+          let kids =
+            List.init
+              (idx.child_off.(key + 1) - idx.child_off.(key))
+              (fun c -> idx.children.(idx.child_off.(key) + c))
+          in
+          if kids <> expect then ok := false;
+          let routed = Route_table.next_link_int t ~src:u ~dst >= 0 in
+          if seen.(key) <> if routed then 1 else 0 then ok := false
+        done
+      done;
+      !ok)
+
+(* The reference walk behind the classification oracle is
+   [default_path] checked hop by hop. *)
+let walk_matches_path_validity =
+  QCheck.Test.make ~name:"reference walk equals path validity" ~count:30
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let topo = Rtr_check.Gen.random_topology ~seed ~n:14 in
+      let g = Rtr_topo.Topology.graph topo in
+      let view =
+        Rtr_failure.Damage.view (Rtr_check.Gen.random_damage ~seed topo)
+      in
+      let t = Route_table.compute (View.full g) in
+      let ok = ref true in
+      for src = 0 to 13 do
+        for dst = 0 to 13 do
+          if
+            Rtr_check.Classify_walk.default_path_valid t view ~src ~dst
+            <> Option.map (Path.is_valid view)
+                 (Route_table.default_path t ~src ~dst)
+          then ok := false
+        done
+      done;
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "int accessors agree" `Quick test_int_accessors_agree;
@@ -132,4 +198,6 @@ let suite =
     Alcotest.test_case "disconnected" `Quick test_disconnected;
     QCheck_alcotest.to_alcotest paths_are_shortest;
     QCheck_alcotest.to_alcotest next_link_matches_next_hop;
+    QCheck_alcotest.to_alcotest index_inverts_table;
+    QCheck_alcotest.to_alcotest walk_matches_path_validity;
   ]
