@@ -187,7 +187,7 @@ let bench_tests () =
   let d = Lazy.force damage in
   let initiator, trigger, dst = Lazy.force a_case in
   let tbl = Lazy.force table in
-  let base_spt = Lazy.force spt in
+  let full_spt = Lazy.force spt in
   let dead = Damage.failed_links d in
   let link_ok id = Damage.link_ok d id in
   let damaged_view = View.remove_links (View.full g) dead in
@@ -251,7 +251,7 @@ let bench_tests () =
               (Rtr_graph.Dijkstra.spt ~workspace:ws damaged_view ~root:0 ())));
     Test.make ~name:"ablation/spt-incremental"
       (Staged.stage (fun () ->
-           let c = Rtr_graph.Spt.copy base_spt in
+           let c = Rtr_graph.Spt.copy full_spt in
            ignore
              (Rtr_graph.Incremental_spt.remove c ~dead_links:dead
                 ~view:damaged_view ())));

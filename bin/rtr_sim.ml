@@ -378,7 +378,6 @@ let run_cmd =
           | Irrecoverable -> "irrecoverable");
         let session =
           Rtr_core.Rtr.start topo scenario.damage
-            ~base_spt:(Rtr_sim.Topo_cache.base_spt cache case.initiator)
             ~initiator:case.initiator ~trigger:case.trigger ()
         in
         let p1 = Rtr_core.Rtr.phase1 session in
@@ -476,11 +475,8 @@ let draw_cmd =
       match case with
       | None -> ([], None)
       | Some (initiator, trigger, dst, area) -> (
-          let cache = Rtr_sim.Topo_cache.shared topo in
           let session =
-            Rtr_core.Rtr.start topo damage
-              ~base_spt:(Rtr_sim.Topo_cache.base_spt cache initiator)
-              ~initiator ~trigger ()
+            Rtr_core.Rtr.start topo damage ~initiator ~trigger ()
           in
           let p1 = Rtr_core.Rtr.phase1 session in
           let walk = Rtr_viz.Svg.Walk p1.Rtr_core.Phase1.walk in
@@ -776,7 +772,6 @@ let microbench_cmd =
         let open Rtr_sim.Scenario in
         let session =
           Rtr_core.Rtr.start topo scenario.damage
-            ~base_spt:(Rtr_sim.Topo_cache.base_spt cache case.initiator)
             ~initiator:case.initiator ~trigger:case.trigger ()
         in
         ignore (Rtr_core.Rtr.recover session ~dst:case.dst);

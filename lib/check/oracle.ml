@@ -580,6 +580,19 @@ let incr_spt_run ~inject:_ spec =
           (Found
              (violation name
                 "incremental removal from v%d disagrees with Dijkstra" root));
+      (* The tree itself, not only its labels: phase 2 routes along the
+         predecessors, so equal distances with a different tie-break
+         would still change the emitted paths. *)
+      if
+        t.Spt.parent_node <> fresh.Spt.parent_node
+        || t.Spt.parent_link <> fresh.Spt.parent_link
+      then
+        raise
+          (Found
+             (violation name
+                "incremental removal from v%d picks a different tree than \
+                 Dijkstra"
+                root));
       (* And back: restoring the failed elements must return to the
          pre-failure distances. *)
       ignore

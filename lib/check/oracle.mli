@@ -18,8 +18,9 @@
     - [single_link] — Theorem 3: exhaustive single-link-failure sweep;
       every destination recovers optimally whenever the graph stays
       connected.
-    - [incr_spt_vs_dijkstra] — incremental SPT repair distances equal a
-      from-scratch Dijkstra over the damaged view.
+    - [incr_spt_vs_dijkstra] — incremental SPT repair equals a
+      from-scratch Dijkstra over the damaged view: distances and the
+      tree itself (predecessor nodes and links).
     - [view_vs_filtered] — bitset-mask traversals equal the legacy
       closure-pair implementations bit for bit.
     - [ws_spt_vs_filtered] — SPT runs through the per-domain reusable

@@ -27,7 +27,7 @@ let run topo damage ~initiator ~trigger () =
     merged_failed_links;
   }
 
-let phase2_of_merged topo damage ?base_spt result =
+let phase2_of_merged topo damage result =
   (* Reuse the right walk's result record as the phase-1 carrier and
      feed the left walk's extra links through the carried-failures
      channel, exactly like the multi-area extension does. *)
@@ -36,5 +36,4 @@ let phase2_of_merged topo damage ?base_spt result =
       (fun id -> not (List.mem id result.right.Phase1.failed_links))
       result.merged_failed_links
   in
-  Phase2.create topo damage ?base_spt ~extra_removed:extra ~phase1:result.right
-    ()
+  Phase2.create topo damage ~extra_removed:extra ~phase1:result.right ()

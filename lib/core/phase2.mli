@@ -2,67 +2,38 @@
 
     The recovery initiator removes from its topology view the links
     collected in phase 1 plus its own links to unreachable neighbours,
-    repairs its pre-failure shortest-path tree incrementally
-    ([Rtr_graph.Incremental_spt]), and source-routes packets along the
-    resulting paths.  Paths are cached: one shortest-path calculation
-    per affected destination, which is the paper's computational-
-    overhead accounting for RTR. *)
+    computes one shortest-path tree over that damaged view, and
+    source-routes packets along the tree's paths.  The tree is
+    bit-identical — distances and predecessors — to the paper's
+    incremental repair of the pre-failure tree
+    ([Rtr_graph.Incremental_spt]), as the [incr_spt_vs_dijkstra] oracle
+    checks.  Paths are cached: one shortest-path calculation per
+    affected destination, which is the paper's computational-overhead
+    accounting for RTR. *)
 
 module Graph = Rtr_graph.Graph
 
 type t
+(** An immutable snapshot of the damaged-view tree plus the
+    per-destination path cache.  Valid forever: the session owns its
+    labels, so any other shortest-path work on the same domain leaves
+    it untouched. *)
 
 val create :
   Rtr_topo.Topology.t ->
   Rtr_failure.Damage.t ->
-  ?base_spt:Rtr_graph.Spt.t ->
   ?extra_removed:Graph.link_id list ->
   phase1:Phase1.result ->
   unit ->
   t
-(** Builds the initiator's view.  [Damage] is consulted only for the
-    initiator's {e local} knowledge (its own unreachable neighbours) —
-    phase 2 never peeks at the global failure state.  [extra_removed]
-    carries failure information already in the packet header, used by
-    the multiple-failure-area extension (Sec. III-E).
-
-    [base_spt] is the initiator's pre-failure [From_root] SPF tree,
-    e.g. from the simulator's per-topology cache; it is cloned (the
-    original is never mutated) and incrementally repaired, skipping the
-    from-scratch Dijkstra.  Raises [Invalid_argument] if it is rooted
-    elsewhere, oriented [To_root] or built over a different graph. *)
-
-val create_batched :
-  Rtr_topo.Topology.t ->
-  Rtr_failure.Damage.t ->
-  ?extra_removed:Graph.link_id list ->
-  phase1:Phase1.result ->
-  unit ->
-  t
-(** Like {!create}, but the session's shortest-path tree is a single
-    borrowed-workspace Dijkstra over the damaged view — no pre-failure
-    tree is cloned and no repair scratch runs, which is the cheap path
-    when one session serves a batch of destinations back to back.
-    Routes and distances are bit-identical to {!create}'s.
-
-    The tree aliases the calling domain's workspace: it stays readable
-    only until the next workspace operation on this domain (another
-    [~workspace] Dijkstra, an incremental repair, the next session).
-    Query every destination first; answers are cached with their
-    distance labels and survive the tree's expiry, but an {e uncached}
-    query after expiry raises [Invalid_argument].  Observable as
-    [phase2.batched]. *)
+(** Builds the initiator's view and its shortest-path tree.  [Damage]
+    is consulted only for the initiator's {e local} knowledge (its own
+    unreachable neighbours) — phase 2 never peeks at the global failure
+    state.  [extra_removed] carries failure information already in the
+    packet header, used by the multiple-failure-area extension
+    (Sec. III-E).  Observable as [phase2.creates]. *)
 
 val initiator : t -> Graph.node
-
-val batched : t -> bool
-(** Whether this session was built with {!create_batched}. *)
-
-val expired : t -> bool
-(** In batched mode: whether the borrowed tree's workspace has been
-    reused since, i.e. the next {e uncached} query would raise.  Cached
-    answers keep being served either way.  Always [false] for
-    {!create} sessions. *)
 
 val view : t -> Rtr_graph.View.t
 (** The initiator's post-phase-1 failure view: the full graph minus
@@ -70,19 +41,18 @@ val view : t -> Rtr_graph.View.t
 
 val removed_links : t -> Graph.link_id list
 (** The links absent from the view: phase-1 collection plus
-    initiator-incident failures, deduplicated. *)
+    initiator-incident failures, deduplicated, ascending. *)
 
 val recovery_path : t -> dst:Graph.node -> Rtr_graph.Path.t option
 (** The shortest path from the initiator to [dst] in the view; [None]
     means the destination looks unreachable and packets for it are
-    discarded immediately.  Cached per destination. *)
+    discarded immediately.  Cached per destination: the first query
+    counts as [phase2.sp_calcs], repeats as [phase2.cache_hits]. *)
 
 val recovery_distance : t -> dst:Graph.node -> int option
+(** The tree's distance label for [dst] ([None] when unreachable in the
+    view), answered through {!recovery_path}'s cache. *)
 
 val sp_calculations : t -> int
 (** Number of distinct destinations for which a shortest path has been
     calculated so far — the paper counts exactly 1 per test case. *)
-
-val repaired_nodes : t -> int
-(** Nodes the incremental repair had to touch (ablation metric: how
-    local phase 2's recomputation is compared to a full SPF). *)

@@ -27,20 +27,15 @@ type t
 val start :
   Rtr_topo.Topology.t ->
   Rtr_failure.Damage.t ->
-  ?base_spt:Rtr_graph.Spt.t ->
   ?batched:bool ->
   initiator:Graph.node ->
   trigger:Graph.node ->
   unit ->
   t
-(** Runs phase 1 and prepares phase 2.  [base_spt] is the initiator's
-    cached pre-failure SPF tree, forwarded to {!Phase2.create}.
-
-    [batched] (default [false]) builds phase 2 with
-    {!Phase2.create_batched} instead ([base_spt] is then unused): the
-    session's tree borrows the domain workspace and every destination
-    must be queried before any other SPT runs on this domain — the
-    grouped-session discipline of the simulator's runner. *)
+(** Runs phase 1 and builds the phase-2 session ({!Phase2.create}),
+    which stays valid for the life of the value.  [batched] is accepted
+    and ignored; it remains only so that existing callers still
+    compile. *)
 
 val phase1 : t -> Phase1.result
 val phase2 : t -> Phase2.t
@@ -51,16 +46,14 @@ val resume : t -> Rtr_failure.Damage.t -> t
     {e same, now stale} phase-1 collection — the initiator has no way to
     know remote repairs or remote cascades without walking again.  Its
     local knowledge refreshes (phase 2 re-reads the initiator's
-    unreachable neighbours).  Batched sessions resume batched; the old
-    session's uncached queries may now raise (its workspace tree was
-    abandoned) while its cached answers keep serving — see
-    {!Phase2.create_batched}. *)
+    unreachable neighbours).  The old session is untouched and keeps
+    answering from its own snapshot. *)
 
 val recover : t -> dst:Graph.node -> outcome
 
 val recovery_distance : t -> dst:Graph.node -> int option
 (** Cost of the recovery path in the session's post-phase-1 view, from
-    the repaired SPT's distance labels ([None] when the destination is
+    the phase-2 tree's distance labels ([None] when the destination is
     unreachable in the view).  Served from the per-destination cache:
     after a [recover ~dst], this is a cache hit, not a second
     shortest-path calculation. *)

@@ -23,9 +23,10 @@
     {b Borrowing discipline}: an [Spt.t] produced by [spt ~workspace]
     aliases the workspace arrays.  It is valid only until the next
     operation on the same workspace (another [spt ~workspace] run, an
-    [Incremental_spt] repair on the same domain, ...).  Copy it with
-    [Spt.copy] if it must outlive that, or call [spt] without
-    [?workspace] for an owned tree. *)
+    [Incremental_spt] repair on the same domain, ...).  Copy what must
+    outlive that — [Spt.copy], or just the arrays a holder reads, as
+    phase-2 sessions do — or call [spt] without [?workspace] for an
+    owned tree. *)
 module Workspace : sig
   type t
 
@@ -34,14 +35,6 @@ module Workspace : sig
 
   val get : unit -> t
   (** The calling domain's arena ([Domain.DLS]-backed). *)
-
-  val generation : t -> int
-  (** Bumped by every run that acquires the arena.  A borrowed [Spt.t]
-      is readable exactly while the generation it was born under is
-      still current; holders that may outlive other workspace traffic
-      (e.g. batched phase-2 sessions) compare generations to fail fast
-      on expired trees instead of silently reading someone else's
-      labels. *)
 end
 
 val spt :

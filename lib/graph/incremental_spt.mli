@@ -9,7 +9,9 @@
 
     Both entry points mutate the tree in place.  Distances after a
     repair are guaranteed equal to a from-scratch Dijkstra over the same
-    view (property-tested); parent pointers may differ on ties. *)
+    view (property-tested).  [remove] also applies Dijkstra's tie-break,
+    so its parent pointers match too (the [incr_spt_vs_dijkstra] fuzz
+    oracle checks both); after [restore] only distances are checked. *)
 
 val remove :
   Spt.t ->

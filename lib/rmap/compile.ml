@@ -17,13 +17,11 @@ let eval_links topo table links =
   in
   let cases = Array.of_list (Scenario.cases_of_damage topo table damage) in
   let results = Array.make (Array.length cases) None in
-  (* One batched RTR session per (initiator, trigger), the runner's
-     grouped discipline: the session's tree borrows the domain
-     workspace, and all its destinations are extracted while it is
-     live (the next group's session retires it). *)
+  (* One RTR session per (initiator, trigger), grouped as in the
+     runner. *)
   List.iter
     (fun ((initiator, trigger), idxs) ->
-      let s = Rtr.start topo damage ~batched:true ~initiator ~trigger () in
+      let s = Rtr.start topo damage ~initiator ~trigger () in
       List.iter
         (fun i ->
           let c = cases.(i) in

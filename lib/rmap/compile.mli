@@ -2,7 +2,7 @@
 
     For every enumerated failure scenario this runs RTR — phase 1 plus
     phase 2 over the shared {!Rtr_sim.Topo_cache} route table, one
-    batched session per (initiator, trigger) — and
+    session per (initiator, trigger) — and
     records, per test case, exactly what the reactive protocol would
     answer at recovery time: outcome kind, the emitted source route,
     its cost in the initiator's view, and the true damaged-graph

@@ -761,10 +761,8 @@ let ablation_constraints ?(cases = 500) config =
                   ~initiator:c.Scenario.initiator ~trigger:c.Scenario.trigger
                   ()
               in
-              (* Batched: one borrowed-workspace SPT, queried for the
-                 single destination right below — no clone, no repair. *)
               let p2 =
-                Rtr_core.Phase2.create_batched topo scenario.Scenario.damage
+                Rtr_core.Phase2.create topo scenario.Scenario.damage
                   ~phase1:p1 ()
               in
               let delivered =
@@ -865,14 +863,12 @@ let extension_bidir ?(cases = 500) config =
               Rtr_core.Bidir.run topo scenario.Scenario.damage
                 ~initiator:c.Scenario.initiator ~trigger:c.Scenario.trigger ()
             in
-            let base_spt = Topo_cache.base_spt cache c.Scenario.initiator in
             let p2_single =
-              Rtr_core.Phase2.create topo scenario.Scenario.damage ~base_spt
+              Rtr_core.Phase2.create topo scenario.Scenario.damage
                 ~phase1:bid.Rtr_core.Bidir.right ()
             in
             let p2_merged =
-              Rtr_core.Bidir.phase2_of_merged topo scenario.Scenario.damage
-                ~base_spt bid
+              Rtr_core.Bidir.phase2_of_merged topo scenario.Scenario.damage bid
             in
             if delivered p2_single then incr ok_single;
             if delivered p2_merged then incr ok_merged;
@@ -999,10 +995,8 @@ let instance_variance ?(cases = 400) ?(instances = 5) config =
         (fun (c : Scenario.case) ->
           if c.Scenario.kind = Scenario.Recoverable && !n_done < cases then begin
             incr n_done;
-            (* Batched session, consumed for one destination before the
-               next scenario touches the workspace. *)
             let session =
-              Rtr_core.Rtr.start topo scenario.Scenario.damage ~batched:true
+              Rtr_core.Rtr.start topo scenario.Scenario.damage
                 ~initiator:c.Scenario.initiator ~trigger:c.Scenario.trigger ()
             in
             match Rtr_core.Rtr.recover session ~dst:c.Scenario.dst with

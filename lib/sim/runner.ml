@@ -160,19 +160,16 @@ let run_scenario ~mrc (scenario : Scenario.t) =
   let results = Array.make (Array.length cases) None in
   (* One RTR session per (initiator, trigger): phase 1's walk starts at
      the trigger, so two different triggers at the same initiator are
-     distinct sessions with possibly different collected failures.
-     Sessions are batched — the phase-2 tree borrows the domain
-     workspace — so each group's RTR legs all run while the tree is
-     live, then the baselines (whose own SPTs retire it). *)
+     distinct sessions with possibly different collected failures. *)
   List.iter
     (fun ((initiator, trigger), idxs) ->
-      let session = Rtr.start topo damage ~batched:true ~initiator ~trigger () in
+      let session = Rtr.start topo damage ~initiator ~trigger () in
       let p1 = Rtr.phase1 session in
-      let legs = List.map (fun i -> (i, run_rtr_leg session cases.(i))) idxs in
       List.iter
-        (fun (i, leg) ->
+        (fun i ->
+          let leg = run_rtr_leg session cases.(i) in
           results.(i) <- Some (finish_case g topo ~mrc p1 cases.(i) damage leg))
-        legs)
+        idxs)
     (group_by_session cases (fun (c : Scenario.case) ->
          (c.Scenario.initiator, c.Scenario.trigger)));
   Array.to_list results |> List.map Option.get

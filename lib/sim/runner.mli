@@ -48,10 +48,8 @@ type result = {
 
 val run_scenario : mrc:Rtr_baselines.Mrc.t -> Scenario.t -> result list
 (** Results in case order.  Execution is grouped by (initiator,
-    trigger): one {e batched} RTR session per group serves all its
-    destinations from a single borrowed-workspace SPT
-    ([Rtr_core.Phase2.create_batched]), and the group's RTR legs run
-    before the baselines so the tree is never read after expiry. *)
+    trigger): one RTR session per group serves all its destinations
+    from a single phase-2 tree. *)
 
 val group_by_session : 'a array -> ('a -> 'k) -> ('k * int list) list
 (** Indices of [cases] grouped by [key_of], groups in first-appearance

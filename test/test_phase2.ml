@@ -125,12 +125,6 @@ let test_extra_removed () =
       Alcotest.(check bool) "avoids the carried link" false
         (List.mem (PE.link 5 12) (Path.links g path))
 
-let test_repaired_nodes_positive () =
-  let topo, _, damage, p1 = setup () in
-  let p2 = Phase2.create topo damage ~phase1:p1 () in
-  Alcotest.(check bool) "incremental repair touched something" true
-    (Phase2.repaired_nodes p2 > 0)
-
 let incremental_equals_scratch =
   QCheck.Test.make
     ~name:"phase-2 distances equal scratch dijkstra over the view" ~count:60
@@ -159,52 +153,83 @@ let incremental_equals_scratch =
         | [] -> []
         | x :: _ -> [ x ]))
 
-(* Batched mode: one borrowed-workspace SPT, same routes and distances
-   as the clone-and-repair path, destination for destination. *)
-let test_batched_equals_classic () =
-  let topo, g, damage, p1 = setup () in
-  let classic = Phase2.create topo damage ~phase1:p1 () in
-  let batched = Phase2.create_batched topo damage ~phase1:p1 () in
-  Alcotest.(check (list int))
-    "same removed links"
-    (Phase2.removed_links classic)
-    (Phase2.removed_links batched);
-  (* Extract every destination from the batched session while its tree
-     is live (classic owns its arrays, so its queries can come after). *)
-  let n = Graph.n_nodes g in
-  let got =
-    List.init n (fun dst ->
-        (Phase2.recovery_path batched ~dst, Phase2.recovery_distance batched ~dst))
+(* The session's tree is the paper's phase 2 — the pre-failure tree
+   incrementally repaired around the removed links — destination for
+   destination, in both path and distance label. *)
+let check_equals_incremental_repair topo damage p1 =
+  let g = Rtr_topo.Topology.graph topo in
+  let p2 = Phase2.create topo damage ~phase1:p1 () in
+  let repaired =
+    Rtr_graph.Spt.copy
+      (Rtr_graph.Dijkstra.spt (View.full g) ~root:p1.Phase1.initiator ())
   in
-  List.iteri
-    (fun dst (bp, bd) ->
-      let cp = Phase2.recovery_path classic ~dst in
-      if
-        Option.map Path.nodes bp <> Option.map Path.nodes cp
-        || bd <> Phase2.recovery_distance classic ~dst
-      then Alcotest.failf "batched differs from classic at dst v%d" dst)
-    got
+  ignore
+    (Rtr_graph.Incremental_spt.remove repaired
+       ~dead_links:(Phase2.removed_links p2) ~view:(Phase2.view p2) ());
+  for dst = 0 to Graph.n_nodes g - 1 do
+    let expected_dist =
+      if Rtr_graph.Spt.reached repaired dst then
+        Some (Rtr_graph.Spt.dist repaired dst)
+      else None
+    in
+    if
+      Option.map Path.nodes (Phase2.recovery_path p2 ~dst)
+      <> Option.map Path.nodes (Rtr_graph.Spt.path repaired dst)
+      || Phase2.recovery_distance p2 ~dst <> expected_dist
+    then
+      Alcotest.failf "session differs from incremental repair at v%d -> v%d"
+        p1.Phase1.initiator dst
+  done
 
-(* An uncached query on an expired batched tree must raise; cached
-   answers keep working because they carry their distance labels. *)
-let test_batched_expiry () =
+let test_session_equals_incremental_repair () =
+  let topo, _, damage, p1 = setup () in
+  check_equals_incremental_repair topo damage p1;
+  (* One generated AS209 scenario, every session of it. *)
+  let topo = Rtr_topo.Isp.load_by_name "AS209" in
+  let table = Rtr_sim.Topo_cache.table (Rtr_sim.Topo_cache.shared topo) in
+  let rng = Rtr_util.Rng.make 209 in
+  let rec nonempty tries =
+    let s = Rtr_sim.Scenario.generate topo table rng () in
+    if s.Rtr_sim.Scenario.cases <> [] || tries > 50 then s
+    else nonempty (tries + 1)
+  in
+  let scenario = nonempty 0 in
+  let damage = scenario.Rtr_sim.Scenario.damage in
+  Alcotest.(check bool) "scenario has cases" true
+    (scenario.Rtr_sim.Scenario.cases <> []);
+  List.iter
+    (fun (initiator, trigger) ->
+      check_equals_incremental_repair topo damage
+        (Phase1.run topo damage ~initiator ~trigger ()))
+    (List.sort_uniq compare
+       (List.map
+          (fun (c : Rtr_sim.Scenario.case) ->
+            (c.Rtr_sim.Scenario.initiator, c.Rtr_sim.Scenario.trigger))
+          scenario.Rtr_sim.Scenario.cases))
+
+(* The session owns its tree: other shortest-path work on the same
+   domain's workspace leaves even its uncached destinations intact. *)
+let test_session_outlives_workspace_reuse () =
   let topo, g, damage, p1 = setup () in
-  let batched = Phase2.create_batched topo damage ~phase1:p1 () in
-  let first = Phase2.recovery_path batched ~dst:PE.destination in
+  let p2 = Phase2.create topo damage ~phase1:p1 () in
+  let first = Phase2.recovery_path p2 ~dst:PE.destination in
   Alcotest.(check bool) "destination reachable" true (first <> None);
-  let d_before = Phase2.recovery_distance batched ~dst:PE.destination in
-  (* Retire the tree: any other workspace run on this domain. *)
   ignore
     (Rtr_graph.Dijkstra.spt
        ~workspace:(Rtr_graph.Dijkstra.Workspace.get ())
        (View.full g) ~root:0 ());
-  Alcotest.(check bool) "cached path survives expiry" true
-    (Phase2.recovery_path batched ~dst:PE.destination = first);
-  Alcotest.(check (option int)) "cached distance survives expiry" d_before
-    (Phase2.recovery_distance batched ~dst:PE.destination);
-  match Phase2.recovery_path batched ~dst:(PE.v 18) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "uncached query on an expired tree must raise"
+  let fresh = Phase2.create topo damage ~phase1:p1 () in
+  Alcotest.(check bool) "cached path unchanged" true
+    (Phase2.recovery_path p2 ~dst:PE.destination = first);
+  let uncached = PE.v 18 in
+  Alcotest.(check (option (list int)))
+    "uncached path equals a fresh session's"
+    (Option.map Path.nodes (Phase2.recovery_path fresh ~dst:uncached))
+    (Option.map Path.nodes (Phase2.recovery_path p2 ~dst:uncached));
+  Alcotest.(check (option int))
+    "uncached distance equals a fresh session's"
+    (Phase2.recovery_distance fresh ~dst:uncached)
+    (Phase2.recovery_distance p2 ~dst:uncached)
 
 let suite =
   [
@@ -217,9 +242,9 @@ let suite =
     Alcotest.test_case "uncollectable failure gives false path" `Quick
       test_uncollectable_failure_gives_false_path;
     Alcotest.test_case "extra removed (multi-area)" `Quick test_extra_removed;
-    Alcotest.test_case "repaired nodes" `Quick test_repaired_nodes_positive;
-    Alcotest.test_case "batched equals classic" `Quick
-      test_batched_equals_classic;
-    Alcotest.test_case "batched expiry" `Quick test_batched_expiry;
+    Alcotest.test_case "session equals incremental repair" `Quick
+      test_session_equals_incremental_repair;
+    Alcotest.test_case "session outlives workspace reuse" `Quick
+      test_session_outlives_workspace_reuse;
     QCheck_alcotest.to_alcotest incremental_equals_scratch;
   ]
