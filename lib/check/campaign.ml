@@ -83,6 +83,16 @@ let run ?(log = fun _ -> ()) config =
   let cases_c = Metrics.counter "check.cases" in
   let violations_c = Metrics.counter "check.violations" in
   let shrink_h = Metrics.histogram "check.shrink.evals" in
+  if
+    config.jobs > 1
+    && List.exists
+         (fun (o : Oracle.t) ->
+           o.Oracle.name = Oracle.parallel_vs_sequential.Oracle.name)
+         config.oracles
+  then
+    log
+      "parallel_vs_sequential: skipped, the campaign's workers hold the \
+       pool (run it with jobs = 1 to compare a parallel run)";
   (* Streaming over the bounded pool: indices are produced one at a
      time, each worker regenerates its spec from the (seed, index) key
      and checks it, and verdicts come back in index order — so at most

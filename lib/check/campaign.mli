@@ -4,7 +4,10 @@
     each counterexample is sequential, so a campaign's outcome —
     including every artifact byte — depends only on [(cases, seed,
     oracles, inject)], never on [jobs].  Oracle evaluation itself is
-    sharded over {!Rtr_sim.Parallel.map}.
+    sharded over {!Rtr_sim.Parallel.stream}.  With [jobs > 1] the
+    campaign holds the pool, so [parallel_vs_sequential] skips every
+    spec (and [run] logs that it does); it compares a real parallel run
+    only in a [jobs = 1] campaign.
 
     Instrumented under the [check.*] metric namespace
     ([check.cases], [check.violations], [check.shrink.evals]) and the

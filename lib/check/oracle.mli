@@ -32,7 +32,9 @@
       directions.
     - [parallel_vs_sequential] — evaluating the scenario's cases on a
       multi-domain pool yields results structurally identical to the
-      sequential run.
+      sequential run.  Called while the pool is held (inside a
+      parallel campaign) it accepts without checking, since its
+      parallel run would execute inline.
     - [rmap_vs_reactive] — compiling the failure into an [rmap/1]
       artifact and probing it back returns, case for case, exactly what
       an independently-built reactive session answers (fresh sessions

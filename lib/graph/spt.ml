@@ -20,11 +20,11 @@ let path t v =
   if not (reached t v) then None
   else begin
     let rec walk acc u = if u = -1 then acc else walk (u :: acc) t.parent_node.(u) in
-    let towards_root = List.rev (walk [] v) in
-    (* walk collects v, parent v, ..., root then reverses: root..v. *)
+    (* walk visits v, parent v, ..., root, consing each in front: root..v. *)
+    let root_to_v = walk [] v in
     match t.direction with
-    | From_root -> Some (Path.of_nodes (List.rev towards_root))
-    | To_root -> Some (Path.of_nodes towards_root)
+    | From_root -> Some (Path.of_nodes root_to_v)
+    | To_root -> Some (Path.of_nodes (List.rev root_to_v))
   end
 
 let copy t =

@@ -3,9 +3,18 @@
 
     The pool itself is deliberately ignorant of metrics and tracing;
     this module installs the seams — a [pool.shard] trace span per
-    worker, a per-domain metrics snapshot folded back into the
-    coordinator with [Metrics.absorb], and [pool.*] scheduling metrics
-    — so callers shard with one function call. *)
+    worker, a per-helper metrics snapshot folded back into the caller
+    with [Metrics.absorb], and [pool.*] scheduling metrics — so callers
+    shard with one function call.
+
+    Worker 0 is the calling domain: its updates land in the caller's
+    own cells, so it neither snapshots nor absorbs.  Helper domains
+    outlive a run ([Rtr_util.Pool]), so a helper snapshots its cells
+    and then zeroes them with [Metrics.reset], also when a task raised:
+    a run absorbs exactly what its helpers counted during it, never
+    cells left from an earlier (or failed) run.  A call made while the
+    pool is held — nested inside a task, or from another domain mid-run
+    — runs inline, records no [pool.*] metrics and absorbs nothing. *)
 
 val env_jobs : unit -> int
 (** [RTR_JOBS] parsed as a positive integer;
@@ -30,14 +39,15 @@ val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
     Results come back in submission order regardless of scheduling.
 
     With [jobs <= 1] (or fewer than two tasks) this is exactly
-    [Array.map]: no domains, no [pool.*] metrics registered, so a
+    [Array.map]: no helpers, no [pool.*] metrics registered, so a
     sequential run's metrics file is byte-identical to the pre-pool
     code path.  With [jobs > 1], each worker runs under a
-    [pool.shard] span, its metric cells are absorbed into the calling
-    domain's at the join, and [pool.runs]/[pool.tasks]/[pool.jobs]
-    plus per-worker task/busy/idle histograms are recorded.  The
-    [pool.*] scheduling metrics are inherently timing-dependent; every
-    simulation metric absorbed from workers merges to totals
+    [pool.shard] span, the helpers' metric cells are absorbed into the
+    calling domain's once the run completes, and
+    [pool.runs]/[pool.tasks]/[pool.jobs]/[pool.helper_spawns] plus
+    per-worker task/busy/idle histograms are recorded.  The [pool.*]
+    scheduling metrics are inherently timing-dependent; every
+    simulation metric absorbed from helpers merges to totals
     independent of the schedule. *)
 
 val stream :

@@ -7,9 +7,11 @@
     no locking is needed, and [Rtr_util.Pool] workers each lazily build
     their own copy.
 
-    Note that [Pool] spawns fresh domains per [map] call, so a slot's
-    value lives for one pool run on worker domains (and for the whole
-    process on the main domain). *)
+    A [Pool] helper domain serves every run until it retires after
+    [Pool.idle_period] parked, so a slot's value on a helper lives
+    across back-to-back runs (and for the whole process on the main
+    domain).  A slot must therefore hold scratch state that each use
+    reinitialises, never state that belongs to one run. *)
 
 type 'a t
 

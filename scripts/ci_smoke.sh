@@ -145,13 +145,23 @@ for counter in phase2.creates phase2.sp_calcs pqueue.pop; do
   fi
 done
 
+# The pool's helper domains outlive a run: back-to-back maps must reuse
+# them.  At --jobs 4 a pool that started new helpers for every run
+# would record 3 spawns per run.
+runs=$(grep -o '"pool.runs":[0-9]*' "$tmp/flm4.json" | cut -d: -f2)
+spawns=$(grep -o '"pool.helper_spawns":[0-9]*' "$tmp/flm4.json" | cut -d: -f2)
+if [ -z "$runs" ] || [ -z "$spawns" ] || [ "$spawns" -ge $((runs * 3)) ]; then
+  echo "ci_smoke: FAIL — flows --jobs 4 spawned '$spawns' helpers over '$runs' pool runs (want < runs x 3)" >&2
+  exit 1
+fi
+
 flows_n=$(grep -o '"netsim.flows":[0-9]*' BENCH_smoke.json | cut -d: -f2)
 if [ -z "$flows_n" ] || [ "$flows_n" -lt 1000000 ]; then
   echo "ci_smoke: FAIL — netsim.flows='$flows_n' in the quick bench (want >= 1000000)" >&2
   exit 1
 fi
 
-echo "ci_smoke: flow gate OK (congestion report jobs-invariant; $flows_n flows swept)"
+echo "ci_smoke: flow gate OK (congestion report jobs-invariant; $spawns helper spawns over $runs pool runs; $flows_n flows swept)"
 
 # --- microbench / hot-path gate --------------------------------------
 # The SPT workspace must actually be reused (spt.ws_alloc stays small —
@@ -295,6 +305,17 @@ FUZZ_CASES="${FUZZ_CASES:-300}"
 
 dune exec bin/rtr_sim.exe -- fuzz --cases "$FUZZ_CASES" --seed 42
 
+# A campaign at more than one job holds the pool, so inside it
+# parallel_vs_sequential skips.  Run that oracle on its own at --jobs 1,
+# where it owns the pool, and check its parallel runs really happened.
+dune exec bin/rtr_sim.exe -- fuzz --cases "$FUZZ_CASES" --seed 42 --jobs 1 \
+  --oracle parallel_vs_sequential --metrics "$tmp/pvs.json" > /dev/null
+pvs_runs=$(grep -o '"pool.runs":[0-9]*' "$tmp/pvs.json" | cut -d: -f2)
+if [ -z "$pvs_runs" ] || [ "$pvs_runs" -lt 1 ]; then
+  echo "ci_smoke: FAIL — parallel_vs_sequential made no parallel run (pool.runs='$pvs_runs')" >&2
+  exit 1
+fi
+
 # The fuzzer must still be able to see bugs: an injected Theorem-2
 # fault (phase 2 forgetting one collected failed link) has to be
 # caught, shrunk, and its artifact has to replay.
@@ -324,7 +345,7 @@ if ! diff -r "$fuzzdir/j1" "$fuzzdir/j4"; then
   exit 1
 fi
 
-echo "ci_smoke: fuzz gate OK ($FUZZ_CASES clean cases; injected bug caught, replayed, jobs-invariant)"
+echo "ci_smoke: fuzz gate OK ($FUZZ_CASES clean cases; $pvs_runs parallel-oracle pool runs; injected bug caught, replayed, jobs-invariant)"
 
 # --- episode gate ----------------------------------------------------
 # The theorem-survival matrix on episode timelines (cascading /

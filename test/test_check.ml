@@ -361,6 +361,27 @@ let test_episode_shrink_fixpoint () =
     && List.length shrunk.Spec.edges <= List.length spec.Spec.edges
     && List.length shrunk.Spec.episodes <= List.length spec.Spec.episodes)
 
+(* [parallel_vs_sequential] runs its jobs=3 evaluation on the pool when
+   called with the pool free, and skips (touching neither the pool nor
+   the scenario) when called from inside a parallel run. *)
+let test_parallel_oracle_uses_pool () =
+  let runs = Rtr_obs.Metrics.counter "pool.runs" in
+  let specs = Array.init 12 gen_spec in
+  let pool_runs f =
+    let before = Rtr_obs.Metrics.Counter.value runs in
+    f ();
+    Rtr_obs.Metrics.Counter.value runs - before
+  in
+  let check spec =
+    match Oracle.parallel_vs_sequential.Oracle.run ~inject:None spec with
+    | None -> ()
+    | Some v -> Alcotest.failf "%s: %s" spec.Spec.name v.Oracle.detail
+  in
+  Alcotest.(check bool) "free pool: parallel runs" true
+    (pool_runs (fun () -> Array.iter check specs) > 0);
+  Alcotest.(check int) "held pool: only the outer run" 1
+    (pool_runs (fun () -> ignore (Rtr_sim.Parallel.map ~jobs:2 check specs)))
+
 let suite =
   [
     Alcotest.test_case "spec JSON round-trip" `Quick test_json_round_trip;
@@ -390,4 +411,6 @@ let suite =
       test_episode_injected_bug_caught;
     Alcotest.test_case "episode shrink reaches a violating fixpoint" `Quick
       test_episode_shrink_fixpoint;
+    Alcotest.test_case "parallel oracle runs on the pool" `Quick
+      test_parallel_oracle_uses_pool;
   ]

@@ -19,8 +19,8 @@ let test_exception_propagates_and_pool_survives () =
   let input = Array.init 32 (fun i -> i) in
   Alcotest.check_raises "task failure re-raised" (Failure "boom") (fun () ->
       ignore (Pool.map ~jobs:4 (fun i -> if i = 13 then failwith "boom" else i) input));
-  (* The failure joined every domain; a fresh run on the same inputs
-     works — the pool never wedges. *)
+  (* Every worker finished after the failure; a fresh run on the same
+     inputs works — the pool never wedges. *)
   let out = Pool.map ~jobs:4 (fun i -> i + 1) input in
   Alcotest.(check int) "subsequent run ok" 32 out.(31)
 
@@ -74,7 +74,7 @@ let test_wrap_worker_runs_in_worker () =
       (fun i -> i)
       (Array.init 8 (fun i -> i))
   in
-  Alcotest.(check bool) "wrap ran on a spawned domain" true
+  Alcotest.(check bool) "wrap ran on a helper domain" true
     (Atomic.get saw_other)
 
 (* --- the bounded streaming seam -------------------------------------- *)
@@ -151,8 +151,8 @@ let test_stream_exception_propagates () =
            ~producer
            ~consumer:(fun _ _ -> ())
            ()));
-  (* The stream joined every domain; a fresh one on the same inputs
-     works. *)
+  (* Every worker finished after the failure; a fresh stream on the
+     same inputs works. *)
   let produced = ref 0 in
   let producer () =
     if !produced >= 8 then None
@@ -209,8 +209,187 @@ let test_stream_jobs1_inline () =
   in
   Alcotest.(check int) "empty stream" 0 empty
 
+(* --- the long-lived helpers ------------------------------------------ *)
+
+(* The helper domains of one map, with their [spawned] flags. *)
+let helper_run ?(jobs = 2) () =
+  let m = Mutex.create () in
+  let seen = ref [] and fresh = ref [] in
+  let out =
+    Pool.map ~jobs
+      ~wrap_worker:(fun w body ->
+        if w > 0 then Mutex.protect m (fun () -> seen := Domain.self () :: !seen);
+        body ())
+      ~on_stats:(fun stats ->
+        List.iter
+          (fun (s : Pool.worker_stats) ->
+            if s.Pool.worker > 0 then fresh := s.Pool.spawned :: !fresh)
+          stats)
+      (fun i -> i + 1)
+      (Array.init 16 Fun.id)
+  in
+  Alcotest.(check int) "results" 16 out.(15);
+  (!seen, !fresh)
+
+let test_back_to_back_reuse () =
+  let first, _ = helper_run () in
+  let second, fresh = helper_run () in
+  Alcotest.(check int) "one helper per run" 1 (List.length second);
+  Alcotest.(check bool) "same helper domain" true (first = second);
+  Alcotest.(check (list bool)) "second run spawned nothing" [ false ] fresh
+
+let test_nested_inline () =
+  let moved = Atomic.make false and free = Atomic.make false in
+  let out =
+    Pool.map ~jobs:2
+      (fun i ->
+        if not (Pool.busy ()) then Atomic.set free true;
+        let outer = Domain.self () in
+        Pool.map ~jobs:2
+          (fun j ->
+            if Domain.self () <> outer then Atomic.set moved true;
+            i * j)
+          (Array.init 5 Fun.id)
+        |> Array.fold_left ( + ) 0)
+      (Array.init 6 Fun.id)
+  in
+  Alcotest.(check bool) "nested tasks stay on their caller's domain" false
+    (Atomic.get moved);
+  Alcotest.(check bool) "pool busy inside every task" false (Atomic.get free);
+  Alcotest.(check bool) "pool free after the run" false (Pool.busy ());
+  Array.iteri
+    (fun i v -> Alcotest.(check int) (Printf.sprintf "slot %d" i) (i * 10) v)
+    out
+
+(* While the main domain's run holds the pool, a map started on another
+   domain runs inline there and completes. *)
+let test_second_domain_while_busy () =
+  let inner () =
+    let self = Domain.self () in
+    Pool.map ~jobs:2
+      (fun x ->
+        if Domain.self () <> self then failwith "left its domain";
+        x + 1)
+      (Array.init 100 Fun.id)
+    |> Array.fold_left ( + ) 0
+  in
+  let out =
+    Pool.map ~jobs:2
+      (fun i -> if i = 0 then Domain.join (Domain.spawn inner) else i)
+      (Array.init 8 Fun.id)
+  in
+  Alcotest.(check int) "second domain's map" 5050 out.(0);
+  Alcotest.(check int) "outer results" 7 out.(7)
+
+(* A helper parked for longer than the idle period retires, so the next
+   run has to spawn every helper anew.  A loaded host can wake a helper
+   late; the wait doubles until every helper has gone. *)
+let test_helpers_retire () =
+  ignore (helper_run ~jobs:3 ());
+  let rec after_idle pause =
+    Unix.sleepf pause;
+    let _, fresh = helper_run ~jobs:3 () in
+    if List.for_all Fun.id fresh || pause > 1.0 then fresh
+    else after_idle (2.0 *. pause)
+  in
+  Alcotest.(check (list bool)) "every helper spawned anew" [ true; true ]
+    (after_idle (2.0 *. Pool.idle_period))
+
+(* Two minor collections retire a parked helper well inside the idle
+   period.  An attempt counts only when the helper was parked for less
+   than [idle_period], so the time limit cannot explain the retirement;
+   a loaded host that wakes the helper late gets a few more attempts. *)
+let test_collections_retire_helper () =
+  let rec attempt k =
+    let t0 = Unix.gettimeofday () in
+    ignore (helper_run ());
+    Gc.minor ();
+    Gc.minor ();
+    Unix.sleepf (Pool.idle_period /. 5.0);
+    let quick = Unix.gettimeofday () -. t0 < Pool.idle_period in
+    let _, fresh = helper_run () in
+    if quick && fresh = [ true ] then true
+    else if k = 0 then false
+    else attempt (k - 1)
+  in
+  Alcotest.(check bool) "helper spawned anew" true (attempt 5)
+
+(* The coordinator runs pending tasks while the next in-order result is
+   not ready; with early tasks slowest, it ends up evaluating later ones
+   ahead of the head of line, and the consumer must still see strict
+   submission order. *)
+let test_stream_coordinator_runs_tasks () =
+  let n = 16 in
+  let produced = ref 0 in
+  let producer () =
+    if !produced >= n then None
+    else begin
+      let i = !produced in
+      incr produced;
+      Some i
+    end
+  in
+  let f i =
+    if i < 3 then Unix.sleepf (0.02 *. float_of_int (3 - i));
+    i * i
+  in
+  let seen = ref [] and caller_tasks = ref 0 in
+  let total =
+    Pool.stream ~jobs:2
+      ~on_stats:(fun stats ->
+        List.iter
+          (fun (s : Pool.worker_stats) ->
+            if s.Pool.worker = 0 then caller_tasks := s.Pool.tasks)
+          stats)
+      f ~producer
+      ~consumer:(fun seq v ->
+        Alcotest.(check int) (Printf.sprintf "slot %d" seq) (seq * seq) v;
+        seen := seq :: !seen)
+      ()
+  in
+  Alcotest.(check int) "all consumed" n total;
+  Alcotest.(check (list int)) "strict submission order"
+    (List.init n Fun.id) (List.rev !seen);
+  Alcotest.(check bool) "the coordinator evaluated tasks" true
+    (!caller_tasks > 0)
+
+(* A helper zeroes its metric cells after every run, a failed one too:
+   a clean run right after a failed one (on the same helper) absorbs
+   exactly what the clean run counted, which is the jobs=1 total. *)
+let test_parallel_failed_run_leaks_nothing () =
+  let module Metrics = Rtr_obs.Metrics in
+  let c = Metrics.counter "test.pool_leak" in
+  let input = Array.init 32 Fun.id in
+  let count ~fail_at i =
+    if i = 0 then Unix.sleepf 0.02;
+    Metrics.Counter.add c (i + 1);
+    if i = fail_at then failwith "boom"
+  in
+  let delta jobs f =
+    let before = Metrics.Counter.value c in
+    ignore (Rtr_sim.Parallel.map ~jobs f input);
+    Metrics.Counter.value c - before
+  in
+  let sequential = delta 1 (count ~fail_at:(-1)) in
+  Alcotest.check_raises "failed run raises" (Failure "boom") (fun () ->
+      ignore (Rtr_sim.Parallel.map ~jobs:2 (count ~fail_at:31) input));
+  Alcotest.(check int) "clean run after a failed one" sequential
+    (delta 2 (count ~fail_at:(-1)))
+
 let suite =
   [
+    Alcotest.test_case "back-to-back maps reuse the helper" `Quick
+      test_back_to_back_reuse;
+    Alcotest.test_case "nested map runs inline" `Quick test_nested_inline;
+    Alcotest.test_case "map from a second domain while busy" `Quick
+      test_second_domain_while_busy;
+    Alcotest.test_case "idle helpers retire" `Quick test_helpers_retire;
+    Alcotest.test_case "minor collections retire a parked helper" `Quick
+      test_collections_retire_helper;
+    Alcotest.test_case "stream coordinator runs tasks in order" `Quick
+      test_stream_coordinator_runs_tasks;
+    Alcotest.test_case "failed parallel run leaks no metrics" `Quick
+      test_parallel_failed_run_leaks_nothing;
     Alcotest.test_case "submission order under skewed durations" `Quick
       test_order_under_skew;
     Alcotest.test_case "stream order under skewed durations" `Quick
